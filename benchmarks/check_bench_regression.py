@@ -7,7 +7,8 @@ committed ``BENCH_engine.json`` baseline.
 Two metrics are compared against the tolerance (default 20%):
 
 * ``fused_candidates_per_sec`` — the absolute throughput headline, and
-* ``fused_speedup`` — fused-vs-affine measured in the *same* run, which is
+* ``fused_vs_interp_speedup`` — fused-vs-interp measured in the *same* run
+  (median of per-round ratios over interleaved rounds), which is
   machine-class invariant.
 
 Two structural invariants are additionally asserted on the *current* file
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--benchmark", default=DEFAULT_BENCHMARK)
     parser.add_argument("--field", default="fused_candidates_per_sec",
                         help="absolute throughput field")
-    parser.add_argument("--ratio-field", default="fused_speedup",
+    parser.add_argument("--ratio-field", default="fused_vs_interp_speedup",
                         help="machine-invariant ratio field (empty to disable)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional drop before failing (0.20 = 20%%)")
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
 
     if ratio_ok is False:
         print(
-            f"the machine-invariant fused-vs-affine ratio regressed more than "
+            f"the machine-invariant fused-vs-interp ratio regressed more than "
             f"{args.tolerance:.0%} versus the committed baseline — a code "
             "regression, whatever the runner class; investigate before merging"
         )
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     if not absolute_ok:
         print(
             "absolute throughput is below the committed baseline but the "
-            "fused-vs-affine ratio is healthy: machine-class difference, "
+            "fused-vs-interp ratio is healthy: machine-class difference, "
             "not a regression (refresh BENCH_engine.json from this machine "
             "class to tighten the gate)"
         )

@@ -180,8 +180,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
             key: stats[key]
-            for key in ("fused_path", "compiled_path", "bitset_path",
-                        "reference_path", "spacetime_hits", "stamp_fallback_exprs")
+            for key in ("fused_path", "compiled_path", "reference_path",
+                        "spacetime_hits", "stamp_fallback_exprs")
             if stats.get(key)
         }
         if kernel_stats:
@@ -408,11 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--objective", default="latency", choices=sorted(OBJECTIVES),
                          help="ranking objective")
     explore.add_argument("--backend", default="auto", choices=list(BACKEND_NAMES),
-                         help="evaluation backend: auto is the batch-fused hot path "
-                              "with per-tensor bit-set fallback, interp the interpreted "
-                              "baseline, affine the PR 2 compiled backend, bitset the "
-                              "packed-word membership kernel, fused the pure batch-"
-                              "fused backend")
+                         help="evaluation backend: fused is the compiled batch-"
+                              "fused hot path, interp the interpreted oracle; auto "
+                              "(the default) means fused")
     explore.add_argument("--device", default="numpy", metavar="NAME[:DEV]",
                          help="array namespace the compiled kernels evaluate on "
                               "(numpy, torch, torch:cuda, cupy, ...); results are "
@@ -425,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")
     explore.add_argument("--tune", action=argparse.BooleanOptionalAction, default=False,
-                         help="measurement-driven auto-tuning: calibrate backend/batch "
-                              "size/jobs on the sweep's first batches and order "
+                         help="measurement-driven auto-tuning: calibrate batch "
+                              "size/jobs on the sweep's first batch and order "
                               "candidates best-first from checkpointed history; "
                               "never changes which reports are produced, only "
                               "evaluation order and speed (--no-tune pins the "

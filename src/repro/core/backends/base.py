@@ -3,10 +3,10 @@
 A backend decides *how* the per-candidate hot path of a sweep is computed:
 
 * how the dataflow's space/time stamp columns are evaluated over the cached
-  relation chunks (interpreted expression trees vs compiled coefficient
-  matrices, candidate-by-candidate vs batched), and
+  relation chunks (interpreted expression trees candidate by candidate vs
+  compiled coefficient matrices stacked per batch), and
 * which exact membership kernel counts the Table II volumes (the group-major
-  sort/adjacency kernel vs packed bit-set occupancy words).
+  sort/adjacency kernel vs the fused and compiled group-layout kernels).
 
 Every backend is *exact*: reports are bit-identical across backends, so the
 choice is purely a performance decision.  Backends that cannot handle a case
@@ -107,7 +107,7 @@ class EngineBackend:
         reference :func:`repro.core.utilization.compute_utilization`.
 
         The default is the dense-histogram kernel of the PR 1 engine; the
-        compiled backends add an injective shortcut on top.
+        fused backend adds an injective shortcut on top.
         """
         from repro.core.engine import _utilization_dense
 
@@ -147,7 +147,7 @@ class EngineBackend:
         """Volume metrics for several tensors of one candidate.
 
         The default evaluates tensors one by one; backends may override to
-        batch (the compiled backends run the per-tensor kernels — pure numpy
+        batch (the fused backend runs the per-tensor kernels — pure numpy
         whose heavy ops release the GIL — on a shared thread pool).
         """
         return {
@@ -170,7 +170,7 @@ class InterpBackend(EngineBackend):
     Stamps go through :meth:`RelationMaterializer.stamps` (one
     ``AffExpr.evaluate_vec`` tree walk per expression per candidate) and
     volumes through the group-major sort/adjacency kernel.  This backend is
-    the baseline the compiled backends are benchmarked against.
+    the baseline the fused backend is benchmarked against.
     """
 
     name = "interp"

@@ -1,55 +1,64 @@
-"""Batch-fused evaluation: stacked stamp matmuls, windowed volume kernels and
+"""The compiled backend: stacked stamp matmuls, windowed volume kernels and
 spacetime-content memoisation.
 
-The affine backend already compiles stamp expressions to coefficient rows and
-caches the candidate-invariant (PE, element) group layout per space signature.
-Three further sources of redundancy remain in a sweep batch, and this backend
-removes them:
+Three sources of redundancy in a sweep batch are removed here:
 
-* **Stacked stamps** — the affine provider evaluates compiled rows in small
-  windows (one matmul per ~8M matrix cells).  The fused provider stacks the
-  deduplicated coefficient rows of *every* candidate in the batch into one
-  coefficient matrix and evaluates the whole cached domain chunk with a single
-  float64-exact BLAS matmul; per-candidate stamp columns are row views of the
-  fused result.
+* **Stacked stamps** — every stamp expression of the batch compiles to a
+  coefficient row (:mod:`repro.core.backends.affine`); the deduplicated rows
+  of *every* candidate in the batch stack into one coefficient matrix, and the
+  whole cached domain chunk is evaluated with a single float64-exact BLAS
+  matmul.  Per-candidate stamp columns are row views of the fused result.
 * **Windowed volume kernels** — for layouts with *uniform* group blocks (every
   dense (PE, element) group holds the same number of pairs, the common case
   for the paper's operators), the group-major sort degenerates to one segmented
   sort of the ``(groups, m)`` rank matrix, and spatial membership for
   constant-offset interconnect slots becomes ``2m - 1`` shifted *slice*
   comparisons — no ``searchsorted``, no per-pair gathers.  Slots that share a
-  source offset share one membership pass.  Everything else falls back to the
-  affine kernels, so counts stay bit-identical.
+  source offset share one membership pass.  Ragged, multi-reference and
+  non-injective layouts take the compiled group-layout kernel instead, and
+  temporal intervals beyond both kernels' window take the engine's reference
+  kernel, so counts stay bit-identical.
 * **Spacetime memoisation** — structurally distinct candidates frequently
   assign *identical* (PE, time-rank) columns (skewed variants of one family
   often collapse onto the same rank order).  The engine memo cannot see that
-  (it keys on the expression signature), so the fused backend fingerprints the
-  rank column per space signature and replays the finished report — verified
-  by exact array comparison, never by hash alone — for candidates whose
+  (it keys on the expression signature), so the backend fingerprints the rank
+  column per space signature and replays the finished report — verified by
+  exact array comparison, never by hash alone — for candidates whose
   spacetime map was already evaluated.
 
 All three are pure performance transformations: reports are bit-identical to
-``interp``/``affine``/``bitset`` across the backend test matrix.
+``interp`` across the backend test matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from repro.arch.pe_array import PEArray
 from repro.core.backends.affine import (
-    AffineBackend,
+    CompiledEvaluator,
+    CompiledExprSet,
     GroupLayout,
-    _AffineBatchStamps,
     _evict_lru,
+    build_group_layout,
+    compiled_group_volume_metrics,
 )
+from repro.core.backends.base import BatchStampProvider, EngineBackend
+from repro.core.dataflow import Dataflow
 from repro.core.volumes import VolumeMetrics
 from repro.core.xp import ArrayNamespace, NumpyNamespace
+from repro.errors import DataflowError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import OpRelations
 
 #: Kernel-level default: the host namespace, so the module stays importable
 #: and exact without an engine (unit tests drive the kernel directly).
@@ -61,6 +70,31 @@ _HOST = NumpyNamespace()
 #: rows over a paper-scale chunk) while keeping the transient float64 result
 #: and its int64 conversion near ~128 MB each.
 _FUSED_MATMUL_CELLS = 16_000_000
+
+#: Process-wide thread pool for per-tensor volume kernels.  The kernels are
+#: pure numpy whose heavy operations (sort, searchsorted, bincount) release
+#: the GIL, so one candidate's tensors run concurrently.  Shared and lazy so
+#: the many short-lived engines in tests do not each spawn threads.  Keyed by
+#: PID: a pool inherited across ``fork`` (the ``jobs>1`` sweep workers) has
+#: no live threads and would deadlock, so each process builds its own.
+_VOLUME_POOL: tuple[int, ThreadPoolExecutor] | None = None
+_CPU_COUNT = os.cpu_count() or 1
+
+
+def _volume_pool() -> ThreadPoolExecutor | None:
+    global _VOLUME_POOL
+    if _CPU_COUNT < 2:
+        return None
+    pid = os.getpid()
+    if _VOLUME_POOL is None or _VOLUME_POOL[0] != pid:
+        _VOLUME_POOL = (
+            pid,
+            ThreadPoolExecutor(
+                max_workers=min(4, _CPU_COUNT),
+                thread_name_prefix="tenet-volume",
+            ),
+        )
+    return _VOLUME_POOL[1]
 
 #: Windowed membership is used when the shifted-slice pass (2m - 1 comparisons)
 #: is cheaper than a searchsorted probe; beyond this block size it is not.
@@ -107,11 +141,11 @@ class _DeviceLayout:
 class FusedLayout:
     """Candidate-invariant extras the fused volume kernel needs per tensor.
 
-    Built once per :class:`GroupLayout` (itself cached per space signature),
-    so the uniformity check and the slot classification never run per
-    candidate.  ``usable`` is ``False`` when the layout breaks one of the
-    kernel's assumptions (ragged blocks, collapsed references); callers then
-    chain to the affine kernels.
+    Built once per :class:`GroupLayout` and cached with it per space
+    signature, so the uniformity check and the slot classification never run
+    per candidate.  ``usable`` is ``False`` when the layout breaks one of the
+    kernel's assumptions (ragged blocks, several distinct references);
+    callers then chain to :func:`compiled_group_volume_metrics`.
     """
 
     def __init__(self, layout: GroupLayout):
@@ -195,8 +229,8 @@ def fused_group_volume_metrics(
     Requires a usable :class:`FusedLayout` (uniform blocks, one reference) and
     an injective candidate (unique (stamp, element) pairs); the caller
     guarantees both.  Returns ``None`` when the temporal interval is outside
-    the adjacency window or keys would overflow — the affine kernels then take
-    over, exactly as they do for each other.
+    the adjacency window or keys would overflow — the compiled group-layout
+    kernel then takes over.
 
     One codepath for every array namespace: on the host namespace the
     operations below bind directly to numpy, and the integer-only arithmetic
@@ -385,51 +419,221 @@ class SpacetimeMemo:
 # -- stacked stamp provider --------------------------------------------------------
 
 
-class _FusedBatchStamps(_AffineBatchStamps):
-    """The affine provider with the whole batch stacked into one matmul.
+class _BatchStamps(BatchStampProvider):
+    """Stacked, windowed stamp evaluation for a list of candidates.
 
-    The affine provider bounds transient stamp memory to ~8M matrix cells per
-    window, which re-enters the BLAS call many times per batch.  The fused
-    provider raises the budget so a standard sweep batch evaluates every
-    deduplicated compiled row in a single ``coeffs @ chunk.T`` product;
-    per-candidate stamp columns are row views of that one result.
+    A window stacks the deduplicated compiled rows of as many consecutive
+    candidates as fit :data:`_FUSED_MATMUL_CELLS` result cells into one
+    ``coeffs @ chunk.T`` product, so a standard sweep batch is a single BLAS
+    call; per-candidate stamp columns are row views of that one result.
     """
 
-    def __init__(self, backend, relations, dataflows, pe_array):
-        super().__init__(backend, relations, dataflows, pe_array)
+    def __init__(
+        self,
+        backend: "FusedBackend",
+        relations: "OpRelations",
+        dataflows: Sequence[Dataflow],
+        pe_array: PEArray,
+    ):
+        self.backend = backend
+        self.relations = relations
+        self.pe_array = pe_array
+        self.dataflows = list(dataflows)
+        # The expression set and evaluator are backend-owned and shared across
+        # batches: row values, derived columns and the float matrix persist,
+        # so overlapping sweeps and repeated single-candidate evaluations pay
+        # for each distinct expression once.
+        self.exprs, self._evaluator = backend.compiled_for(relations)
+        self._time_plans: list[list[tuple[str, int]]] = []
+        self._pe_plans: list[list[tuple[str, int]] | None] = []
+        for dataflow in self.dataflows:
+            self._time_plans.append([self.exprs.add(e) for e in dataflow.time_exprs])
+            if backend.pe_signature(dataflow) in backend._pe_memo:
+                self._pe_plans.append(None)
+            else:
+                self._pe_plans.append([self.exprs.add(e) for e in dataflow.pe_exprs])
+        self._values: dict[int, np.ndarray] = {}
+        self._window = (0, 0)
         self._rows_per_window = max(
-            self._rows_per_window,
-            _FUSED_MATMUL_CELLS // max(1, relations.total),
+            4, _FUSED_MATMUL_CELLS // max(1, relations.total)
         )
+
+    def _ensure_window(self, position: int) -> None:
+        lo, hi = self._window
+        if lo <= position < hi:
+            return
+        lo = position
+        hi = position
+        row_ids: set[int] = set()
+        while hi < len(self.dataflows) and (
+            hi == lo or len(row_ids) < self._rows_per_window
+        ):
+            for kind, index in self._time_plans[hi]:
+                if kind == "row":
+                    row_ids.add(index)
+            plan = self._pe_plans[hi]
+            if plan is not None and self.backend.pe_signature(self.dataflows[hi]) not in self.backend._pe_memo:
+                row_ids.update(index for kind, index in plan if kind == "row")
+            hi += 1
+        self._values = self._evaluator.evaluate_rows(sorted(row_ids))
+        self._window = (lo, hi)
+
+    def _column(self, kind: str, index: int) -> np.ndarray:
+        if kind == "row":
+            column = self._values.get(index)
+            if column is None:
+                # The current window excluded this row (e.g. a PE signature
+                # memoised when the window was built but evicted since); the
+                # evaluator's row memo keeps the one-off evaluation cheap.
+                column = self._evaluator.evaluate_rows([index])[index]
+            return column
+        self.backend.engine.stats["stamp_fallback_exprs"] += 1
+        return self._evaluator.evaluate_interp(index)
+
+    def _pe_lin(self, position: int) -> np.ndarray:
+        dataflow = self.dataflows[position]
+        signature = self.backend.pe_signature(dataflow)
+        memo = self.backend._pe_memo
+        cached = memo.get(signature, _MISSING)
+        if cached is not _MISSING:
+            memo.move_to_end(signature)
+            if cached is None:
+                raise DataflowError(
+                    f"dataflow {dataflow.name!r} maps instances outside the "
+                    f"{self.pe_array} array"
+                )
+            return cached
+        plan = self._pe_plans[position]
+        if plan is None:  # memoised when the plan was built, evicted since
+            plan = [self.exprs.add(e) for e in dataflow.pe_exprs]
+            self._pe_plans[position] = plan
+            # Force re-evaluation including the new rows (the evaluator picks
+            # up any new derived columns itself).
+            self._window = (0, 0)
+        self._ensure_window(position)
+        pe_lin = np.zeros(self.relations.total, dtype=np.int64)
+        for extent, (kind, index) in zip(self.pe_array.dims, plan):
+            column = self._column(kind, index)
+            if (column < 0).any() or (column >= extent).any():
+                self.backend.remember_pe(signature, None)
+                raise DataflowError(
+                    f"dataflow {dataflow.name!r} maps instances outside the "
+                    f"{self.pe_array} array"
+                )
+            pe_lin = pe_lin * extent + column
+        self.backend.remember_pe(signature, pe_lin)
+        return pe_lin
+
+    def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        from repro.core.engine import _rank_keys
+
+        dataflow = self.dataflows[position]
+        self._ensure_window(position)
+        pe_lin = self._pe_lin(position)
+        bounds = self.relations.inclusive_bounds
+        time_key: np.ndarray | None = None
+        for expr, (kind, index) in zip(dataflow.time_exprs, self._time_plans[position]):
+            lo, hi = expr.bounds(bounds)
+            extent = hi - lo + 1
+            column = self._column(kind, index)
+            if time_key is None:
+                time_key = column - lo  # owned copy; columns stay cached
+            else:
+                time_key *= extent
+                time_key += column
+                if lo:
+                    time_key -= lo
+        if time_key is None:
+            time_key = np.zeros(self.relations.total, dtype=np.int64)
+        return pe_lin, _rank_keys(time_key)
+
+
+_MISSING = object()
 
 
 # -- the backend -------------------------------------------------------------------
 
 
-class FusedBackend(AffineBackend):
-    """Batch-fused stamps and volumes on top of the affine backend.
+class FusedBackend(EngineBackend):
+    """Compiled, batch-stacked stamps and the compiled volume kernels.
 
-    ``bitset_mode`` is forwarded unchanged: ``auto`` keeps the packed-word
-    kernel for the regimes where it wins (wide temporal intervals, small dense
-    ops), and the fused kernel slots in *above* the compiled grouped kernel in
-    the fallback chain: fused -> (bitset) -> compiled -> grouped -> reference.
+    Per tensor the kernel chain is: the fused windowed kernel (uniform,
+    single-reference layouts of injective candidates), then
+    :func:`compiled_group_volume_metrics` (ragged, multi-reference or
+    non-injective layouts), then ``None``, which hands the tensor to the
+    engine's reference kernel (temporal intervals above 8).
     """
 
     name = "fused"
 
-    def __init__(self, engine, *, bitset_mode: str = "never"):
-        super().__init__(engine, bitset_mode=bitset_mode)
-        self._fused_layouts: OrderedDict[int, FusedLayout] = OrderedDict()
+    #: Memory caps for the per-engine memos.
+    _PE_MEMO_ENTRIES, _PE_MEMO_BYTES = 64, 256 << 20
+    _LAYOUT_ENTRIES, _LAYOUT_BYTES = 32, 256 << 20
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
+        #: Per (space signature, tensor): the group layout with its fused
+        #: extras, or ``None`` when no layout could be built.
+        self._layout_memo: OrderedDict[tuple, FusedLayout | None] = OrderedDict()
+        #: Per-candidate int32 rank cache shared by the tensors' volume calls;
+        #: the strong reference keeps the keyed array's identity stable.
+        self._rank32: tuple[np.ndarray, np.ndarray] | None = None
         self._rank_device: tuple[int, Any, Any] | None = None
+        #: Shared (expression set, evaluator) per cached-relations object.
+        self._compiled: tuple[object, CompiledExprSet, CompiledEvaluator] | None = None
         self.spacetime_memo = SpacetimeMemo()
+
+    def _add_transfer_seconds(self, seconds: float) -> None:
+        stage = self.engine.stage_seconds
+        stage["transfer"] = stage.get("transfer", 0.0) + seconds
+
+    def compiled_for(self, relations) -> tuple[CompiledExprSet, CompiledEvaluator]:
+        """The backend-wide compiled expression set for one relations object."""
+        cached = self._compiled
+        if cached is not None and cached[0] is relations:
+            return cached[1], cached[2]
+        exprs = CompiledExprSet(self.engine.op.loop_dims, relations.inclusive_bounds)
+        evaluator = CompiledEvaluator(
+            exprs,
+            relations.domain,
+            relations.total,
+            xp=self.engine.xp,
+            on_transfer=self._add_transfer_seconds,
+        )
+        self._compiled = (relations, exprs, evaluator)
+        return exprs, evaluator
 
     # -- stamps -----------------------------------------------------------------
 
+    @staticmethod
+    def pe_signature(dataflow: Dataflow) -> tuple[str, ...]:
+        signature = getattr(dataflow, "_pe_signature", None)
+        if signature is None:
+            signature = tuple(str(e) for e in dataflow.pe_exprs)
+            dataflow._pe_signature = signature
+        return signature
+
+    def remember_pe(self, signature: tuple, pe_lin: np.ndarray | None) -> None:
+        memo = self._pe_memo
+        memo[signature] = pe_lin
+        memo.move_to_end(signature)
+        _evict_lru(
+            memo, self._PE_MEMO_ENTRIES, self._PE_MEMO_BYTES,
+            lambda a: a.nbytes if a is not None else 0,
+        )
+
     def prepare_batch(self, relations, dataflows, pe_array):
-        return _FusedBatchStamps(self, relations, dataflows, pe_array)
+        return _BatchStamps(self, relations, dataflows, pe_array)
 
     def stamps(self, relations, dataflow, pe_array):
-        return _FusedBatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
+        return _BatchStamps(self, relations, [dataflow], pe_array).stamps_for(0)
+
+    def utilization(self, pe_lin, t_rank, num_pes):
+        """Dense-histogram utilization with the injective shortcut enabled."""
+        from repro.core.engine import _utilization_dense
+
+        return _utilization_dense(pe_lin, t_rank, num_pes, injective_shortcut=True)
 
     # -- spacetime memo ---------------------------------------------------------
 
@@ -448,19 +652,33 @@ class FusedBackend(AffineBackend):
 
     # -- volumes ----------------------------------------------------------------
 
-    def _fused_layout(self, layout: GroupLayout | None) -> FusedLayout | None:
-        if layout is None:
-            return None
-        key = id(layout)
-        fused = self._fused_layouts.get(key)
-        if fused is None or fused.layout is not layout:
-            fused = FusedLayout(layout)
-            self._fused_layouts[key] = fused
-            while len(self._fused_layouts) > self._LAYOUT_ENTRIES:
-                self._fused_layouts.popitem(last=False)
-        else:
-            self._fused_layouts.move_to_end(key)
+    def _layout(self, tensor: str, dataflow: Dataflow, pe_lin, relations) -> FusedLayout | None:
+        key = (self.pe_signature(dataflow), tensor)
+        memo = self._layout_memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        layout = build_group_layout(
+            pe_lin,
+            relations.tensors[tensor],
+            self.engine._predecessor_table,
+            self.engine._spacetime.spatial_interval,
+        )
+        fused = FusedLayout(layout) if layout is not None else None
+        memo[key] = fused
+        _evict_lru(
+            memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,
+            lambda v: v.layout.nbytes() if v is not None else 0,
+        )
         return fused
+
+    def _rank32_for(self, t_rank: np.ndarray) -> np.ndarray:
+        cached = self._rank32
+        if cached is not None and cached[0] is t_rank:
+            return cached[1]
+        rank32 = t_rank.astype(np.int32)
+        self._rank32 = (t_rank, rank32)
+        return rank32
 
     def _rank_device_for(self, t_rank, rank32):
         """The candidate's rank column on the engine's device, uploaded once.
@@ -482,37 +700,95 @@ class FusedBackend(AffineBackend):
         self._rank_device = (key, wide, narrow)
         return wide, narrow
 
-    def _volume_sorted(
-        self, tensor, layout, t_rank, relations, assume_unique, rank_span, rank32,
-    ):
-        # Inserted between the bit-set try (owned by AffineBackend._volume_one,
-        # in exactly one place) and the compiled grouped kernel.
-        if assume_unique:
-            fused = self._fused_layout(layout)
-            if fused is not None and fused.usable:
-                engine = self.engine
-                span = rank_span if rank_span is not None else int(t_rank.max()) + 1
-                narrow32 = rank32 if rank32 is not None else t_rank.astype(np.int32)
-                xp = engine.xp
-                rank_wide = rank_narrow = None
-                if not xp.is_numpy:
-                    rank_wide, rank_narrow = self._rank_device_for(t_rank, narrow32)
-                metrics = fused_group_volume_metrics(
-                    tensor,
-                    fused,
-                    t_rank,
-                    spatial_interval=engine._spacetime.spatial_interval,
-                    temporal_interval=engine.temporal_interval,
-                    footprint=relations.tensors[tensor].footprint,
-                    rank_span=span,
-                    rank32=narrow32,
-                    xp=xp,
-                    rank_wide=rank_wide,
-                    rank_narrow=rank_narrow,
-                    on_transfer=self._add_transfer_seconds,
-                )
-                if metrics is not None:
-                    return metrics, "fused_path"
-        return super()._volume_sorted(
-            tensor, layout, t_rank, relations, assume_unique, rank_span, rank32
+    def _volume_one(
+        self, tensor, fused, t_rank, relations, assume_unique, rank_span, rank32,
+    ) -> tuple[VolumeMetrics | None, str | None]:
+        """Kernel chain for one tensor: (metrics-or-None, stats key).
+
+        Pure with respect to backend memos (the layout and rank32 are passed
+        in), so several tensors of one candidate can run concurrently.
+        """
+        if fused is None:
+            return None, None
+        engine = self.engine
+        footprint = relations.tensors[tensor].footprint
+        if rank_span is None:
+            rank_span = int(t_rank.max()) + 1
+        if assume_unique and fused.usable:
+            xp = engine.xp
+            rank_wide = rank_narrow = None
+            if not xp.is_numpy:
+                rank_wide, rank_narrow = self._rank_device_for(t_rank, rank32)
+            metrics = fused_group_volume_metrics(
+                tensor,
+                fused,
+                t_rank,
+                spatial_interval=engine._spacetime.spatial_interval,
+                temporal_interval=engine.temporal_interval,
+                footprint=footprint,
+                rank_span=rank_span,
+                rank32=rank32,
+                xp=xp,
+                rank_wide=rank_wide,
+                rank_narrow=rank_narrow,
+                on_transfer=self._add_transfer_seconds,
+            )
+            if metrics is not None:
+                return metrics, "fused_path"
+        metrics = compiled_group_volume_metrics(
+            tensor,
+            fused.layout,
+            t_rank,
+            spatial_interval=engine._spacetime.spatial_interval,
+            temporal_interval=engine.temporal_interval,
+            footprint=footprint,
+            assume_unique=assume_unique,
+            rank_span=rank_span,
+            rank32=rank32,
         )
+        if metrics is not None:
+            return metrics, "compiled_path"
+        return None, None
+
+    def volume_metrics(
+        self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
+        rank_span=None,
+    ):
+        return self.volume_metrics_many(
+            [tensor], dataflow, pe_lin, t_rank, relations,
+            assume_unique=assume_unique, rank_span=rank_span,
+        )[tensor]
+
+    def volume_metrics_many(
+        self, tensors, dataflow, pe_lin, t_rank, relations, *, assume_unique,
+        rank_span=None,
+    ):
+        tensors = list(tensors)
+        # Memo mutation happens serially up front; the kernels below only
+        # read shared arrays.
+        layouts = {
+            tensor: self._layout(tensor, dataflow, pe_lin, relations)
+            for tensor in tensors
+        }
+        rank32 = self._rank32_for(t_rank)
+        args = (t_rank, relations, assume_unique, rank_span, rank32)
+        pool = _volume_pool() if (
+            len(tensors) > 1 and relations.total >= (1 << 16)
+        ) else None
+        if pool is not None:
+            futures = {
+                tensor: pool.submit(self._volume_one, tensor, layouts[tensor], *args)
+                for tensor in tensors
+            }
+            outcomes = {tensor: future.result() for tensor, future in futures.items()}
+        else:
+            outcomes = {
+                tensor: self._volume_one(tensor, layouts[tensor], *args)
+                for tensor in tensors
+            }
+        results: dict[str, VolumeMetrics | None] = {}
+        for tensor, (metrics, path) in outcomes.items():
+            if path is not None:
+                self.engine.stats[path] += 1
+            results[tensor] = metrics
+        return results

@@ -512,7 +512,7 @@ def _utilization_dense(
     Valid because ``t_rank`` is dense (every rank in ``[0, max+1)`` occurs);
     returns ``None`` when the histogram would dwarf the instance count.
 
-    ``injective_shortcut`` (used by the compiled backends) collapses the
+    ``injective_shortcut`` (used by the fused backend) collapses the
     per-rank reductions when every stamp holds at most one instance: every
     rank is occupied, the compute delay is the rank count, and the instances
     per rank *are* the active PEs per rank.
@@ -856,20 +856,21 @@ class EvaluationEngine:
         #: Parent-owned shared-memory segment holding the cached relations for
         #: ``jobs > 1`` workers (see :mod:`repro.core.shm`); ``close()`` owns it.
         self._shared_relations = None
-        self.backend_name = str(backend)
         self.device_name = str(device)
         #: The resolved array namespace every compiled kernel computes on.
         #: Resolution fails loudly (listing available namespaces) before any
         #: evaluation starts, so a missing torch/cupy is a clear capability
         #: error instead of a mid-sweep crash.
         self.xp = resolve_namespace(self.device_name)
+        self.backend = make_backend(str(backend), self)
+        #: The backend that actually runs (``auto`` resolves to ``fused``).
+        self.backend_name = self.backend.name
         if not self.xp.is_numpy and self.backend_name == "interp":
             raise ExplorationError(
                 "backend 'interp' evaluates on the host interpreter and does "
-                f"not support device '{self.device_name}'; use a compiled "
-                "backend (auto/affine/bitset/fused)"
+                f"not support device '{self.device_name}'; use backend "
+                "'fused' (or 'auto')"
             )
-        self.backend = make_backend(self.backend_name, self)
         self.stats: dict[str, int] = {
             "evaluated": 0,
             "memo_hits": 0,
@@ -880,14 +881,13 @@ class EvaluationEngine:
             # Candidates evaluated without cached relations (op above the
             # cache's max_instances guard): correct but not accelerated.
             "streaming_path": 0,
-            # Per-tensor kernel choices of the compiled backends.
+            # Per-tensor kernel choices of the fused backend.
             "compiled_path": 0,
-            "bitset_path": 0,
             "fused_path": 0,
             # Candidates replayed from the fused backend's spacetime-content
             # memo (identical (PE, rank) columns under different expressions).
             "spacetime_hits": 0,
-            # Stamp expressions the compiled backends handed back to the
+            # Stamp expressions the fused backend handed back to the
             # interpreter (nested floor/mod/abs terms).
             "stamp_fallback_exprs": 0,
         }
@@ -905,7 +905,7 @@ class EvaluationEngine:
             "transfer": 0.0,
         }
         #: Optional measurement-driven controller (:mod:`repro.core.tuning`):
-        #: ``"auto"`` calibrates batch/backend/jobs on the first batches,
+        #: ``"auto"`` calibrates batch size and jobs on the first batches,
         #: a profile dict pins previously learned decisions, ``"off"`` keeps
         #: every knob exactly as constructed.  Tuning never changes which
         #: reports are produced — only evaluation order and speed.
@@ -922,28 +922,6 @@ class EvaluationEngine:
                     f"tune must be 'auto', 'off', or a tuning profile dict; "
                     f"got {tune!r}"
                 )
-
-    def set_backend(self, backend: str) -> None:
-        """Switch the evaluation backend in place (tuner calibration races).
-
-        Safe mid-sweep because every backend is bit-identical; only cost
-        changes.  The worker pool (whose workers captured the old backend at
-        initialisation) is torn down and lazily rebuilt on the next parallel
-        batch.
-        """
-        backend = str(backend)
-        if backend == self.backend_name:
-            return
-        if not self.xp.is_numpy and backend == "interp":
-            raise ExplorationError(
-                "backend 'interp' evaluates on the host interpreter and does "
-                f"not support device '{self.device_name}'; use a compiled "
-                "backend (auto/affine/bitset/fused)"
-            )
-        self.backend_name = backend
-        self.backend = make_backend(backend, self)
-        if self._pool is not None:
-            self.close()
 
     def close(self) -> None:
         """Shut down the persistent worker pool and release shared memory.
@@ -1267,10 +1245,8 @@ class EvaluationEngine:
         started = time.perf_counter()
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         if self.tuner is not None and candidates:
-            # Calibration races and backend/jobs decisions: the tuner may
-            # switch the (bit-identical) backend or force a serial batch, so
-            # the measurement/decision happens before dispatch.
-            self.tuner.tune_engine(self, len(candidates))
+            # The tuner may force a serial batch, so the decision happens
+            # before dispatch.
             jobs = self.tuner.effective_jobs(
                 jobs, len(candidates), pool_warm=self._pool is not None
             )
@@ -1287,12 +1263,7 @@ class EvaluationEngine:
             )
         seconds = time.perf_counter() - started
         if self.tuner is not None and candidates:
-            self.tuner.observe_batch(
-                outcomes,
-                seconds,
-                backend=self.backend_name,
-                jobs=jobs if parallel else 1,
-            )
+            self.tuner.observe_batch(outcomes, seconds, jobs=jobs if parallel else 1)
         return BatchResult(outcomes=outcomes, seconds=seconds)
 
     def _prepare_batch_stamps(

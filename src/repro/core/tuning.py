@@ -1,13 +1,11 @@
 """Measurement-driven auto-tuning of sweep knobs.
 
-Every throughput knob the engine exposes — batch size, backend, effective
-worker count, candidate order — used to be static, chosen once at
-construction.  :class:`AutoTuner` turns them into *measured* decisions, in
-the spirit of the data-driven ISCA retrospectives: observe the first batches
-of a sweep per (op, arch, backend, device), then
+Every throughput knob the engine exposes — batch size, effective worker
+count, candidate order — used to be static, chosen once at construction.
+:class:`AutoTuner` turns them into *measured* decisions, in the spirit of the
+data-driven ISCA retrospectives: observe the first batch of a sweep per
+(op, arch, backend, device), then
 
-* resolve ``backend="auto"`` through a short **calibration race** (one batch
-  on each of :data:`CALIBRATION_BACKENDS`) instead of a static rule,
 * pick a batch size that amortises per-batch overhead against the measured
   per-candidate cost,
 * decide whether ``jobs>1`` is worth its pool: when a batch carries less
@@ -19,11 +17,11 @@ of a sweep per (op, arch, backend, device), then
   termination prunes sooner.
 
 The contract tuning must never break: decisions only change *order and
-speed*, never which reports are produced.  Backends are bit-identical by
-construction, reordering a full sweep cannot change its (score, name,
-signature)-sorted ranking, and under early termination the true best
-candidate can never be pruned (its score lower-bounds every running best) —
-so the guarantees of an untuned sweep hold verbatim.
+speed*, never which reports are produced.  Reordering a full sweep cannot
+change its (score, name, signature)-sorted ranking, and under early
+termination the true best candidate can never be pruned (its score
+lower-bounds every running best) — so the guarantees of an untuned sweep hold
+verbatim.
 
 Learned decisions serialise through :meth:`AutoTuner.profile_dict` into the
 checkpoint as a ``{"kind": "tuning"}`` block; a resumed sweep adopts the
@@ -40,16 +38,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import arch_signature, dataflow_signature, op_signature
 from repro.errors import ExplorationError
 
 PROFILE_VERSION = 1
-
-#: Backends raced (one calibration batch each) to resolve ``backend="auto"``.
-#: ``fused`` is the expected winner on uniform-block layouts; ``affine`` wins
-#: where fused falls back per tensor often enough to lose its batch fusion.
-CALIBRATION_BACKENDS = ("fused", "affine")
 
 
 def _short_hash(text: str) -> str:
@@ -143,10 +135,10 @@ class AutoTuner:
 
     Owned by an :class:`~repro.core.engine.EvaluationEngine` built with
     ``tune="auto"`` (or a pinned profile dict).  The engine consults it at
-    every ``evaluate_batch`` (:meth:`tune_engine`, :meth:`effective_jobs`,
-    :meth:`observe_batch`); the :class:`~repro.sweep.session.SweepSession`
-    drives the stream-level decisions (:meth:`order`, ``decided_batch_size``,
-    history seeding, profile persistence).
+    every ``evaluate_batch`` (:meth:`effective_jobs`, :meth:`observe_batch`);
+    the :class:`~repro.sweep.session.SweepSession` drives the stream-level
+    decisions (:meth:`order`, ``decided_batch_size``, history seeding,
+    profile persistence).
     """
 
     #: Calibrated batch sizes target this much wall clock per batch: long
@@ -162,58 +154,26 @@ class AutoTuner:
     warm_pool_seconds = 0.05
     #: Best-first ordering looks ahead this many batches of stream.
     lookahead = 4
-    #: Slice size while calibrating: small enough that a short sweep still
-    #: completes every calibration leg, large enough to amortise per-batch
-    #: fixed costs out of the per-candidate measurement.
+    #: Slice size of the calibration batch: small enough that a short sweep
+    #: calibrates early, large enough to amortise per-batch fixed costs out
+    #: of the per-candidate measurement.
     calibration_batch_size = 16
 
     def __init__(self, engine, *, profile: dict | None = None):
         self.op_hash = _short_hash(op_signature(engine.op))
         self.arch_hash = _short_hash(arch_signature(engine.arch))
         self.device = engine.device_name
-        self.requested_backend = engine.backend_name
-        #: Backends still to race; empty when the backend was pinned.
-        self._race = (
-            list(CALIBRATION_BACKENDS) if self.requested_backend == "auto" else []
-        )
-        self.calibration_batches = max(1, len(self._race))
         self.calibrated = False
-        self.backend_decided: str | None = None
         self.decided_batch_size: int | None = None
         self.per_candidate_seconds: float | None = None
         #: Human-readable decision log (``--profile`` and ``stats`` surface it).
         self.decisions: list[str] = []
         self.ranker = ScoreRanker()
-        #: (counted, seconds, backend, jobs) per observed batch.
-        self._observations: list[tuple[int, float, str, int]] = []
-        #: Best serial per-candidate seconds seen per backend.
-        self._backend_per_candidate: dict[str, float] = {}
         self._jobs_note_logged = False
         if profile is not None:
             self.adopt(profile)
 
     # -- engine-side hooks --------------------------------------------------------
-
-    @property
-    def remaining_calibration_legs(self) -> int:
-        """Measurement batches still needed before decisions can lock in."""
-        if self.calibrated:
-            return 0
-        return max(0, self.calibration_batches - len(self._observations))
-
-    def tune_engine(self, engine, batch_len: int) -> None:
-        """Apply the current decision (or the next calibration leg) to the engine."""
-        if self.calibrated:
-            if (
-                self.backend_decided is not None
-                and engine.backend_name != self.backend_decided
-            ):
-                engine.set_backend(self.backend_decided)
-            return
-        if self._race:
-            leg = self._race[min(len(self._observations), len(self._race) - 1)]
-            if engine.backend_name != leg:
-                engine.set_backend(leg)
 
     def effective_jobs(self, requested: int, batch_len: int, *, pool_warm: bool) -> int:
         """Serial when the batch's measured work cannot amortise the pool."""
@@ -237,35 +197,25 @@ class AutoTuner:
             return 1
         return requested
 
-    def observe_batch(
-        self, outcomes, seconds: float, *, backend: str, jobs: int
-    ) -> None:
+    def observe_batch(self, outcomes, seconds: float, *, jobs: int) -> None:
         """Record one evaluated batch (engines call this after every batch)."""
         counted = sum(
             1 for o in outcomes if o.report is not None and not o.memo_hit
         )
-        self.observe_measurement(counted, seconds, backend=backend, jobs=jobs)
+        self.observe_measurement(counted, seconds, jobs=jobs)
 
-    def observe_measurement(
-        self, counted: int, seconds: float, *, backend: str, jobs: int = 1
-    ) -> None:
-        """The raw measurement feed; decisions are a pure function of it."""
+    def observe_measurement(self, counted: int, seconds: float, *, jobs: int = 1) -> None:
+        """The raw measurement feed; decisions are a pure function of it.
+
+        The first measured batch calibrates.  Later serial batches keep
+        updating the per-candidate cost so the jobs floor stays honest on
+        long sweeps whose cost drifts.
+        """
         if counted <= 0 or seconds <= 0:
             return
-        self._observations.append((counted, seconds, backend, jobs))
         if jobs == 1:
-            per = seconds / counted
-            previous = self._backend_per_candidate.get(backend)
-            self._backend_per_candidate[backend] = (
-                per if previous is None else min(previous, per)
-            )
-            if self.calibrated and backend == (
-                self.backend_decided or self.requested_backend
-            ):
-                # Track drift after calibration so the jobs floor stays honest
-                # on long sweeps whose per-candidate cost changes.
-                self.per_candidate_seconds = per
-        if not self.calibrated and len(self._observations) >= self.calibration_batches:
+            self.per_candidate_seconds = seconds / counted
+        if not self.calibrated:
             self.finalize()
 
     def finalize(self) -> None:
@@ -275,38 +225,20 @@ class AutoTuner:
             # persisted profile carries the latest coefficients.
             self.ranker.fit()
             return
-        if self._backend_per_candidate:
-            if self._race:
-                timings = ", ".join(
-                    f"{name} {per * 1e3:.2f} ms/cand"
-                    for name, per in sorted(self._backend_per_candidate.items())
-                )
-                self.backend_decided = min(
-                    sorted(self._backend_per_candidate),
-                    key=lambda name: self._backend_per_candidate[name],
-                )
-                self.decisions.append(
-                    f"backend: calibration race ({timings}) -> {self.backend_decided}"
-                )
-            per = self._backend_per_candidate.get(
-                self.backend_decided or self.requested_backend
+        per = self.per_candidate_seconds
+        if per is not None and per > 0:
+            # Round to a multiple of 8 inside the clamp so decided sizes are
+            # stable across small measurement jitter.
+            batch = int(self.target_batch_seconds / per)
+            batch = max(
+                self.min_batch_size,
+                min(self.max_batch_size, (batch // 8) * 8 or self.min_batch_size),
             )
-            if per is None:
-                per = min(self._backend_per_candidate.values())
-            self.per_candidate_seconds = per
-            batch = int(self.target_batch_seconds / per) if per > 0 else None
-            if batch is not None:
-                # Round to a multiple of 8 inside the clamp so decided sizes
-                # are stable across small measurement jitter.
-                batch = max(
-                    self.min_batch_size,
-                    min(self.max_batch_size, (batch // 8) * 8 or self.min_batch_size),
-                )
-                self.decided_batch_size = batch
-                self.decisions.append(
-                    f"batch size: {per * 1e3:.2f} ms/candidate -> {batch} "
-                    f"(~{self.target_batch_seconds:.2f}s per batch)"
-                )
+            self.decided_batch_size = batch
+            self.decisions.append(
+                f"batch size: {per * 1e3:.2f} ms/candidate -> {batch} "
+                f"(~{self.target_batch_seconds:.2f}s per batch)"
+            )
         self.calibrated = True
         # Fit whatever scores were observed so the persisted profile carries
         # ranker coefficients a resumed sweep can order with immediately.
@@ -346,8 +278,6 @@ class AutoTuner:
             "op": self.op_hash,
             "arch": self.arch_hash,
             "device": self.device,
-            "requested_backend": self.requested_backend,
-            "backend": self.backend_decided,
             "batch_size": self.decided_batch_size,
             "per_candidate_seconds": (
                 round(self.per_candidate_seconds, 6)
@@ -368,7 +298,8 @@ class AutoTuner:
 
         Identity-checked: a profile learned for another (op, arch) — or a
         newer profile format — is refused loudly instead of silently
-        mistuning the sweep.
+        mistuning the sweep.  The ``backend`` and ``requested_backend`` keys
+        of older profiles are ignored: the tuner no longer picks a backend.
         """
         if not isinstance(profile, dict):
             raise ExplorationError(
@@ -390,17 +321,6 @@ class AutoTuner:
                     "refusing to apply a foreign profile — re-tune with "
                     "tune='auto'"
                 )
-        backend = profile.get("backend")
-        if backend is not None:
-            if backend not in BACKEND_NAMES:
-                raise ExplorationError(
-                    f"tuning profile pins unknown backend {backend!r}; "
-                    f"known: {sorted(BACKEND_NAMES)}"
-                )
-            # A profile only steers the backend the caller left to "auto";
-            # an explicitly pinned backend stays authoritative.
-            if self.requested_backend == "auto":
-                self.backend_decided = backend
         batch_size = profile.get("batch_size")
         if batch_size is not None:
             self.decided_batch_size = max(1, int(batch_size))
@@ -412,10 +332,8 @@ class AutoTuner:
             self.ranker.coef = np.asarray(coef, dtype=float)
         if profile.get("calibrated", True):
             self.calibrated = True
-            self._race = []
         self.decisions.append(
             "adopted persisted profile "
-            f"(backend={self.backend_decided or self.requested_backend}, "
-            f"batch_size={self.decided_batch_size}, "
+            f"(batch_size={self.decided_batch_size}, "
             f"ranker={'seeded' if self.ranker.ready else 'cold'})"
         )

@@ -9,7 +9,7 @@ kernels are written once and run unchanged on every registered namespace.
 
 Exactness contract
     Every kernel value is an integer.  The stamp matmul runs in float64 and is
-    gated by the affine backend's per-row magnitude bound (partial sums below
+    gated by the compiled evaluator's per-row magnitude bound (partial sums below
     ``2**53`` are exactly representable, so any BLAS summation order yields the
     same integers); rows above the bound fall back to the exact host int64
     path.  The volume kernels are integer-only.  Device results therefore come

@@ -325,9 +325,8 @@ class SweepSession:
                 base = self.batch_size
                 if tuner is not None:
                     if not tuner.calibrated:
-                        # Small calibration slices so every calibration leg
-                        # (e.g. both backends of the race) gets measured even
-                        # on short sweeps.
+                        # A small calibration slice, so even a short sweep
+                        # calibrates before most of its candidates run.
                         base = min(base, tuner.calibration_batch_size)
                     elif tuner.decided_batch_size:
                         base = tuner.decided_batch_size
@@ -381,11 +380,6 @@ class SweepSession:
                 if tuner is not None:
                     window = tuner.order(window)
                 step = effective_batch()
-                legs = tuner.remaining_calibration_legs if tuner is not None else 0
-                if legs > 1:
-                    # Split the window so every calibration leg (each backend
-                    # of the race) gets measured even on a short sweep.
-                    step = min(step, max(1, -(-len(window) // legs)))
                 for start in range(0, len(window), step):
                     flush(window[start:start + step])
 

@@ -143,11 +143,10 @@ class TestExprLowering:
 
 
 class TestBackendStamps:
-    @pytest.mark.parametrize("backend", ["affine", "bitset", "fused", "auto"])
-    def test_stamps_match_interpreter(self, backend):
+    def test_stamps_match_interpreter(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         for candidate in small_candidates(op) + [nested_quasi_dataflow(op)]:
             bound = candidate.bind(op)
@@ -159,7 +158,7 @@ class TestBackendStamps:
     def test_batched_stamps_match_per_candidate(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         candidates = small_candidates(op, count=8)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -174,7 +173,7 @@ class TestBackendStamps:
     def test_small_windows_still_match(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**6)
         candidates = small_candidates(op, count=6)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -190,7 +189,7 @@ class TestBackendStamps:
     def test_pe_memo_eviction_between_batches_replans(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**6)
         candidates = small_candidates(op, count=3)
         warmup = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
@@ -211,7 +210,7 @@ class TestBackendStamps:
     def test_out_of_range_candidate_raises_for_each_candidate(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         relations = engine.materializer.relations(10**7)
         bad = Dataflow.from_exprs("bad", op.domain.space, ["i", "j"], ["k"])
         bad_twin = Dataflow.from_exprs("bad-twin", op.domain.space, ["i", "j"], ["k"])
@@ -225,7 +224,7 @@ class TestBackendStamps:
     def test_fallback_exprs_are_counted(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         engine.evaluate(nested_quasi_dataflow(op))
         assert engine.stats["stamp_fallback_exprs"] > 0
 
@@ -236,7 +235,7 @@ class TestBackendReports:
         lambda: conv2d(6, 6, 5, 5, 3, 3),
     ], ids=["gemm", "conv2d"])
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
-    @pytest.mark.parametrize("backend", ["interp", "affine", "bitset", "fused", "auto"])
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
     @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
     def test_backend_reports_equal_analyzer(self, make_op, interconnect, backend, device):
         if backend == "interp" and device != "numpy":
@@ -250,19 +249,18 @@ class TestBackendReports:
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("backend", ["affine", "bitset", "fused", "auto"])
     @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
-    def test_nested_quasi_reports_equal_analyzer(self, backend, device):
+    def test_nested_quasi_reports_equal_analyzer(self, device):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
         candidate = nested_quasi_dataflow(op)
         reference = TenetAnalyzer(op, candidate, arch).analyze()
         engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend=backend, device=device
+            op, arch, cache=RelationCache(), backend="fused", device=device
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("backend", ["interp", "affine", "bitset", "fused", "auto"])
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
     def test_non_injective_reports_equal_analyzer(self, backend):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
@@ -272,27 +270,6 @@ class TestBackendReports:
         reference = TenetAnalyzer(op, collapsing, arch).analyze()
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         assert report_dict(reference) == report_dict(engine.evaluate(collapsing))
-
-    def test_bitset_handles_wide_temporal_interval(self):
-        # The sort-based kernels are limited to temporal intervals <= 8; the
-        # bit-set kernel shifts occupancy words by any interval.
-        op = gemm(12, 12, 12)
-        arch = make_arch(pe_dims=(4, 4))
-        candidate = small_candidates(op)[0]
-        reference = TenetAnalyzer(op, candidate, arch, temporal_interval=11).analyze()
-        engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="bitset", temporal_interval=11
-        )
-        assert report_dict(reference) == report_dict(engine.evaluate(candidate))
-        assert engine.stats["bitset_path"] > 0
-        assert engine.stats["reference_path"] == 0
-
-    def test_bitset_engages_on_small_op(self):
-        op = gemm(8, 8, 8)
-        arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="bitset")
-        engine.evaluate(small_candidates(op)[0])
-        assert engine.stats["bitset_path"] > 0
 
     def test_batch_matches_across_backends(self):
         op = conv2d(4, 4, 6, 6, 3, 3)
@@ -304,7 +281,7 @@ class TestBackendReports:
             batches[backend] = engine.evaluate_batch(candidates)
         reference = batches["interp"].reports
         assert reference
-        for backend in ("auto", "affine", "bitset"):
+        for backend in ("auto", "fused"):
             assert len(batches[backend].reports) == len(reference)
             for a, b in zip(reference, batches[backend].reports):
                 assert report_dict(a) == report_dict(b)
@@ -366,7 +343,7 @@ class TestLayout:
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="affine")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         candidates = small_candidates(op, count=6)
         engine.evaluate_batch(candidates)
         distinct_pe_signatures = {
@@ -392,7 +369,7 @@ class TestFusedBackend:
     def test_fused_splits_mixed_reference_layouts_between_kernels(self):
         # jacobi2d mixes per-tensor layouts: the multi-reference stencil input
         # cannot use the fused kernel (it needs collapsed single-reference
-        # blocks) and must chain to the affine kernels, while the
+        # blocks) and must chain to the compiled kernel, while the
         # single-reference output still fuses — bit-identically either way.
         from repro.tensor.kernels import jacobi2d
 
@@ -408,6 +385,8 @@ class TestFusedBackend:
         assert engine.stats["compiled_path"] + engine.stats["reference_path"] > 0
 
     def test_fused_wide_interval_falls_back_to_reference(self):
+        # Both sort-based kernels are limited to temporal intervals <= 8;
+        # wider intervals go to the engine's reference kernel.
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
@@ -417,6 +396,8 @@ class TestFusedBackend:
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         assert engine.stats["fused_path"] == 0
+        assert engine.stats["compiled_path"] == 0
+        assert engine.stats["reference_path"] > 0
 
     def test_spacetime_memo_replays_identical_stamp_content(self):
         # Shifting every time expression by a constant changes the structural
@@ -449,7 +430,7 @@ class TestFusedBackend:
     def test_spacetime_memo_does_not_override_pruning(self):
         # Under early termination the memo is consulted only *after* the
         # lower-bound check: a candidate whose bound already loses must be
-        # recorded as pruned (as interp/affine would), never replayed as a
+        # recorded as pruned (as interp would), never replayed as a
         # report just because its spacetime map was evaluated earlier.
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
@@ -513,33 +494,30 @@ class TestFusedBackend:
         candidates = small_candidates(op, count=12)
         provider = engine.backend.prepare_batch(relations, candidates, arch.pe_array)
         provider._ensure_window(0)
-        # One stacked evaluation covers every candidate: the affine provider
-        # would have split this batch into several matmul windows.
+        # One stacked evaluation covers every candidate.
         assert provider._window == (0, len(candidates))
-
-    def test_auto_is_fused_with_bitset(self):
-        from repro.core.backends import FusedBackend
-
-        op = gemm(8, 8, 8)
-        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="auto")
-        assert isinstance(engine.backend, FusedBackend)
-        assert engine.backend.bitset_mode == "auto"
-        assert engine.backend.name == "auto"
 
 
 class TestRegistry:
-    def test_unknown_backend_rejected(self):
+    # "affine" and "bitset" were backends once; they are rejected like any
+    # other unknown name.
+    @pytest.mark.parametrize("name", ["gpu", "affine", "bitset"])
+    def test_unknown_backend_rejected(self, name):
         op = gemm(8, 8, 8)
-        with pytest.raises(ExplorationError):
-            EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="gpu")
+        with pytest.raises(ExplorationError, match=f"unknown backend '{name}'") as info:
+            EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend=name)
+        assert "available: auto, interp, fused" in str(info.value)
 
     def test_backend_names_constructible(self):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
+        assert BACKEND_NAMES == ("auto", "interp", "fused")
         for name in BACKEND_NAMES:
             engine = EvaluationEngine(op, arch, backend=name)
-            assert engine.backend.name == name
-            assert engine.backend_name == name
+            # auto resolves to fused at construction.
+            expected = "fused" if name == "auto" else name
+            assert engine.backend.name == expected
+            assert engine.backend_name == expected
 
 
 class TestFusedBaseline:

@@ -173,8 +173,8 @@ class TestEngineReports:
     def test_grouped_kernel_falls_back_on_wide_temporal_interval(self):
         # temporal intervals beyond the sort-adjacency window use the reference
         # kernel on the interp backend; reports still match the analyzer with
-        # the same interval.  (The bitset backend handles wide intervals
-        # natively — see tests/core/test_backends.py.)
+        # the same interval, as they do on the fused backend (see
+        # tests/core/test_backends.py).
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]

@@ -61,39 +61,33 @@ def run_sweep(op, tune="off", engine_kwargs=None, **session_kwargs):
 class TestTunerDeterminism:
     def test_identical_measurement_sequences_give_identical_decisions(self):
         op = make_op()
-        measurements = [
-            (16, 0.4, "fused", 1),
-            (16, 0.9, "affine", 1),
-            (16, 0.38, "fused", 1),
-        ]
+        measurements = [(16, 0.4, 1), (16, 0.9, 2), (16, 0.38, 1)]
         profiles = []
         for _ in range(2):
             engine = make_engine(op, tune="auto")
-            for counted, seconds, backend, jobs in measurements:
-                engine.tuner.observe_measurement(
-                    counted, seconds, backend=backend, jobs=jobs
-                )
+            for counted, seconds, jobs in measurements:
+                engine.tuner.observe_measurement(counted, seconds, jobs=jobs)
             engine.tuner.finalize()
             profiles.append(engine.tuner.profile_dict())
             engine.close()
         assert profiles[0] == profiles[1]
-        assert profiles[0]["backend"] == "fused"
         assert profiles[0]["calibrated"] is True
+        # The first batch calibrates; serial batches keep tracking the cost.
+        assert profiles[0]["batch_size"] == 8
+        assert profiles[0]["per_candidate_seconds"] == round(0.38 / 16, 6)
 
     def test_batch_size_targets_wall_clock_and_clamps(self):
         op = make_op()
         engine = make_engine(op, tune="auto")
         tuner = engine.tuner
-        tuner.observe_measurement(16, 16 * 0.010, backend="fused")
-        tuner.observe_measurement(16, 16 * 0.012, backend="affine")
+        tuner.observe_measurement(16, 16 * 0.010)
         assert tuner.calibrated
         # 0.25s target / 10ms per candidate = 25 -> rounded down to 24.
         assert tuner.decided_batch_size == 24
         engine.close()
 
         fast = make_engine(op, tune="auto")
-        fast.tuner.observe_measurement(16, 16 * 1e-6, backend="fused")
-        fast.tuner.observe_measurement(16, 16 * 1e-6, backend="affine")
+        fast.tuner.observe_measurement(16, 16 * 1e-6)
         assert fast.tuner.decided_batch_size == fast.tuner.max_batch_size
         fast.close()
 
@@ -139,7 +133,7 @@ class TestTunerDeterminism:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["auto", "interp", "affine", "fused"])
+    @pytest.mark.parametrize("backend", ["interp", "fused"])
     def test_rankings_identical_tuned_vs_untuned(self, backend):
         op = make_op()
         _, untuned = run_sweep(
@@ -149,9 +143,8 @@ class TestBitIdentity:
             op, tune="auto", engine_kwargs={"backend": backend}, batch_size=8
         )
         assert ranking_key(tuned) == ranking_key(untuned)
-        if backend != "auto":
-            # A pinned backend stays authoritative: no calibration race.
-            assert engine.backend_name == backend
+        # Tuning never switches the backend.
+        assert engine.backend_name == backend
 
     def test_rendered_rankings_byte_identical(self, tmp_path):
         op = make_op()
@@ -258,6 +251,23 @@ class TestProfilePersistence:
         with pytest.raises(ExplorationError, match="foreign profile"):
             make_engine(gemm(8, 8, 24), tune=profile)
 
+    def test_old_profile_backend_keys_are_ignored(self):
+        # Checkpoints written while the tuner raced backends carry the
+        # winner; resuming them must still work, on whatever backend runs.
+        engine, _ = run_sweep(make_op(), tune="auto", batch_size=8)
+        profile = engine.tuner.profile_dict()
+        assert "backend" not in profile
+        for old in ("affine", "fused", "bitset"):
+            legacy = dict(profile, backend=old, requested_backend="auto")
+            pinned = make_engine(make_op(), tune=legacy)
+            assert pinned.backend_name == "fused"
+            assert pinned.tuner.calibrated
+            assert pinned.tuner.decided_batch_size == profile["batch_size"]
+            pinned.close()
+        # The identity checks still apply to legacy profiles.
+        with pytest.raises(ExplorationError, match="foreign profile"):
+            make_engine(gemm(8, 8, 24), tune=dict(profile, backend="affine"))
+
     def test_newer_profile_version_is_refused(self):
         with pytest.raises(ExplorationError, match="newer"):
             make_engine(make_op(), tune={"version": 99})
@@ -286,8 +296,7 @@ class TestParallelDispatch:
         tuner = engine.tuner
         # Calibration always measures serially.
         assert tuner.effective_jobs(4, 64, pool_warm=False) == 1
-        tuner.observe_measurement(16, 16 * 0.001, backend="fused")
-        tuner.observe_measurement(16, 16 * 0.002, backend="affine")
+        tuner.observe_measurement(16, 16 * 0.001)
         assert tuner.calibrated
         # 64 candidates x 1ms = 64ms of work: under the cold-pool floor,
         # over the warm-pool floor.

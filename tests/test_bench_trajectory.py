@@ -26,14 +26,14 @@ class TestMergeBenchRecords:
         existing = {
             "created": "2026-01-01T00:00:00",
             "records": [
-                {"benchmark": "engine_sweep_gemm48x100", "fused_speedup": 1.0},
+                {"benchmark": "engine_sweep_gemm48x100", "fused_vs_interp_speedup": 1.0},
                 {"benchmark": "sweep_pipeline", "candidates_per_sec": 42.0},
             ],
         }
-        fresh = [{"benchmark": "engine_sweep_gemm48x100", "fused_speedup": 2.4}]
+        fresh = [{"benchmark": "engine_sweep_gemm48x100", "fused_vs_interp_speedup": 2.4}]
         merged = conftest.merge_bench_records(existing, fresh)
         by_name = {r["benchmark"]: r for r in merged["records"]}
-        assert by_name["engine_sweep_gemm48x100"]["fused_speedup"] == 2.4
+        assert by_name["engine_sweep_gemm48x100"]["fused_vs_interp_speedup"] == 2.4
         assert by_name["sweep_pipeline"]["candidates_per_sec"] == 42.0
         assert merged["created"] != existing["created"]
 
@@ -49,36 +49,36 @@ class TestRegressionChecker:
             "fused_candidates_per_sec": cps,
         }
         if speedup is not None:
-            record["fused_speedup"] = speedup
+            record["fused_vs_interp_speedup"] = speedup
         path.write_text(json.dumps({"records": [record]}))
         return str(path)
 
     def test_within_tolerance_passes(self, tmp_path):
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
-        current = self.write(tmp_path / "cur.json", 85.0, speedup=2.2)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
+        current = self.write(tmp_path / "cur.json", 85.0, speedup=5.8)
         assert checker.main(["--baseline", baseline, "--current", current]) == 0
 
     def test_regression_of_both_metrics_fails(self, tmp_path):
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker2")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
-        current = self.write(tmp_path / "cur.json", 70.0, speedup=1.5)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
+        current = self.write(tmp_path / "cur.json", 70.0, speedup=4.0)
         assert checker.main(["--baseline", baseline, "--current", current]) == 1
 
     def test_slow_machine_with_healthy_ratio_passes(self, tmp_path):
         # A slower CI runner shows low absolute throughput but the
-        # fused-vs-affine ratio (same-machine measurement) stays intact.
+        # fused-vs-interp ratio (same-machine measurement) stays intact.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker2b")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
-        current = self.write(tmp_path / "cur.json", 55.0, speedup=2.35)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
+        current = self.write(tmp_path / "cur.json", 55.0, speedup=6.2)
         assert checker.main(["--baseline", baseline, "--current", current]) == 0
 
     def test_fast_machine_cannot_mask_ratio_regression(self, tmp_path):
         # A faster runner keeps absolute throughput above the floor, but the
-        # same-run fused-vs-affine ratio still exposes the code regression.
+        # same-run fused-vs-interp ratio still exposes the code regression.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker2d")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
-        current = self.write(tmp_path / "cur.json", 110.0, speedup=1.1)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
+        current = self.write(tmp_path / "cur.json", 110.0, speedup=2.9)
         assert checker.main(["--baseline", baseline, "--current", current]) == 1
 
     def test_absolute_regression_without_ratio_fails(self, tmp_path):
@@ -107,7 +107,7 @@ class TestRegressionChecker:
         # benchmarks present in both files are compared, so this is a
         # nothing-to-gate pass, not an exit-2 misfire.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker5")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
         current = tmp_path / "cur.json"
         current.write_text(json.dumps({"records": [
             {"benchmark": "engine_sweep_gemm64x100",
@@ -119,18 +119,18 @@ class TestRegressionChecker:
         # A brand-new record (e.g. fused_xp) rides along in the fresh file;
         # the gate still compares only the shared benchmark.
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker6")
-        baseline = self.write(tmp_path / "base.json", 100.0, speedup=2.3)
+        baseline = self.write(tmp_path / "base.json", 100.0, speedup=6.1)
         current = tmp_path / "cur.json"
         current.write_text(json.dumps({"records": [
             {"benchmark": "engine_sweep_gemm48x100",
-             "fused_candidates_per_sec": 97.0, "fused_speedup": 2.28},
+             "fused_candidates_per_sec": 97.0, "fused_vs_interp_speedup": 6.0},
             {"benchmark": "fused_xp", "numpy_candidates_per_sec": 1.0},
         ]}))
         assert checker.main(["--baseline", baseline, "--current", str(current)]) == 0
         regressed = tmp_path / "bad.json"
         regressed.write_text(json.dumps({"records": [
             {"benchmark": "engine_sweep_gemm48x100",
-             "fused_candidates_per_sec": 60.0, "fused_speedup": 1.2},
+             "fused_candidates_per_sec": 60.0, "fused_vs_interp_speedup": 3.2},
             {"benchmark": "fused_xp", "numpy_candidates_per_sec": 999.0},
         ]}))
         assert checker.main(["--baseline", baseline, "--current", str(regressed)]) == 1
@@ -139,7 +139,7 @@ class TestRegressionChecker:
         checker = load_module("benchmarks/check_bench_regression.py", "bench_checker7")
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps({"records": [
-            {"benchmark": "engine_sweep_gemm48x100", "fused_speedup": 2.3},
+            {"benchmark": "engine_sweep_gemm48x100", "fused_vs_interp_speedup": 6.1},
         ]}))
-        current = self.write(tmp_path / "cur.json", 50.0, speedup=2.2)
+        current = self.write(tmp_path / "cur.json", 50.0, speedup=5.8)
         assert checker.main(["--baseline", str(baseline), "--current", current]) == 0
