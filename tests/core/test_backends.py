@@ -22,7 +22,7 @@ from repro.dse.pruning import pruned_candidates
 from repro.errors import DataflowError, ExplorationError
 from repro.experiments.common import make_arch
 from repro.isl.expr import var
-from repro.tensor.kernels import conv2d, gemm
+from repro.tensor.kernels import conv1d, conv2d, depthwise_conv2d, gemm, jacobi2d, mmc, mttkrp
 
 
 def report_dict(report):
@@ -143,10 +143,11 @@ class TestExprLowering:
 
 
 class TestBackendStamps:
-    def test_stamps_match_interpreter(self):
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_stamps_match_interpreter(self, backend):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
-        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
         relations = engine.materializer.relations(10**7)
         for candidate in small_candidates(op) + [nested_quasi_dataflow(op)]:
             bound = candidate.bind(op)
@@ -235,7 +236,7 @@ class TestBackendReports:
         lambda: conv2d(6, 6, 5, 5, 3, 3),
     ], ids=["gemm", "conv2d"])
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
-    @pytest.mark.parametrize("backend", ["interp", "fused"])
+    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
     @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
     def test_backend_reports_equal_analyzer(self, make_op, interconnect, backend, device):
         if backend == "interp" and device != "numpy":
@@ -249,18 +250,19 @@ class TestBackendReports:
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
     @pytest.mark.parametrize("device", NAMESPACE_PARAMS)
-    def test_nested_quasi_reports_equal_analyzer(self, device):
+    def test_nested_quasi_reports_equal_analyzer(self, backend, device):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
         candidate = nested_quasi_dataflow(op)
         reference = TenetAnalyzer(op, candidate, arch).analyze()
         engine = EvaluationEngine(
-            op, arch, cache=RelationCache(), backend="fused", device=device
+            op, arch, cache=RelationCache(), backend=backend, device=device
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
 
-    @pytest.mark.parametrize("backend", ["interp", "fused"])
+    @pytest.mark.parametrize("backend", ["interp", "fused", "auto"])
     def test_non_injective_reports_equal_analyzer(self, backend):
         op = gemm(8, 8, 8)
         arch = make_arch(pe_dims=(4, 4))
@@ -498,11 +500,87 @@ class TestFusedBackend:
         assert provider._window == (0, len(candidates))
 
 
+class TestKernelChain:
+    """The fused backend's per-tensor kernel chain over every library kernel.
+
+    Each tensor evaluation takes exactly one of the fused windowed kernel
+    (uniform, single-reference, injective layouts), the compiled group
+    kernel (every other layout) or the engine's reference kernel (temporal
+    intervals above 8), and every choice reproduces the analyzer.
+    """
+
+    #: Library kernels beyond the gemm/conv2d matrix above, and whether
+    #: some tensor of theirs needs the compiled kernel.
+    KERNELS = {
+        "conv1d": (lambda: conv1d(12, 3), False),
+        "depthwise": (lambda: depthwise_conv2d(4, 6, 6, 3, 3), True),
+        "mttkrp": (lambda: mttkrp(6, 6, 6, 6), True),
+        "mmc": (lambda: mmc(6, 6, 6, 6), True),
+        "jacobi2d": (lambda: jacobi2d(10, 10), True),
+    }
+
+    @staticmethod
+    def _tensor_evaluations(op, engine, candidates):
+        tensors = len({access.tensor for access in op.accesses})
+        return tensors * (len(candidates) - engine.stats["spacetime_hits"])
+
+    @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_every_kernel_matches_analyzer(self, kernel, interconnect):
+        make_op, needs_compiled = self.KERNELS[kernel]
+        op = make_op()
+        arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
+        engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
+        candidates = small_candidates(op, count=4)
+        assert candidates
+        for candidate in candidates:
+            reference = TenetAnalyzer(op, candidate, arch).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        stats = engine.stats
+        assert stats["fused_path"] > 0
+        assert (stats["compiled_path"] > 0) == needs_compiled
+        assert stats["reference_path"] == 0
+        assert stats["fused_path"] + stats["compiled_path"] == (
+            self._tensor_evaluations(op, engine, candidates)
+        )
+
+    @pytest.mark.parametrize("interval", [1, 2, 4, 7, 8, 9, 11, 16])
+    def test_temporal_interval_selects_kernel(self, interval):
+        # mmc needs both sort-based kernels; both stop at interval 8.
+        op = mmc(6, 6, 6, 6)
+        arch = make_arch(pe_dims=(4, 4))
+        engine = EvaluationEngine(
+            op, arch, cache=RelationCache(), backend="fused",
+            temporal_interval=interval,
+        )
+        candidates = small_candidates(op, count=3)
+        for candidate in candidates:
+            reference = TenetAnalyzer(
+                op, candidate, arch, temporal_interval=interval
+            ).analyze()
+            assert report_dict(reference) == report_dict(engine.evaluate(candidate))
+        stats = engine.stats
+        evaluations = self._tensor_evaluations(op, engine, candidates)
+        if interval <= 8:
+            assert stats["fused_path"] > 0 and stats["compiled_path"] > 0
+            assert stats["fused_path"] + stats["compiled_path"] == evaluations
+            assert stats["reference_path"] == 0
+        else:
+            assert stats["fused_path"] == 0 and stats["compiled_path"] == 0
+            assert stats["reference_path"] == evaluations
+
+
 class TestRegistry:
+    def test_unknown_backend_rejected(self):
+        op = gemm(8, 8, 8)
+        with pytest.raises(ExplorationError, match="unknown backend 'gpu'") as info:
+            EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend="gpu")
+        assert "available: auto, interp, fused" in str(info.value)
+
     # "affine" and "bitset" were backends once; they are rejected like any
     # other unknown name.
-    @pytest.mark.parametrize("name", ["gpu", "affine", "bitset"])
-    def test_unknown_backend_rejected(self, name):
+    @pytest.mark.parametrize("name", ["affine", "bitset"])
+    def test_removed_backend_rejected(self, name):
         op = gemm(8, 8, 8)
         with pytest.raises(ExplorationError, match=f"unknown backend '{name}'") as info:
             EvaluationEngine(op, make_arch(pe_dims=(4, 4)), backend=name)

@@ -133,7 +133,7 @@ class TestTunerDeterminism:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["interp", "fused"])
+    @pytest.mark.parametrize("backend", ["auto", "interp", "fused"])
     def test_rankings_identical_tuned_vs_untuned(self, backend):
         op = make_op()
         _, untuned = run_sweep(
@@ -143,8 +143,8 @@ class TestBitIdentity:
             op, tune="auto", engine_kwargs={"backend": backend}, batch_size=8
         )
         assert ranking_key(tuned) == ranking_key(untuned)
-        # Tuning never switches the backend.
-        assert engine.backend_name == backend
+        # Tuning never switches the backend; auto always resolves to fused.
+        assert engine.backend_name == ("fused" if backend == "auto" else backend)
 
     def test_rendered_rankings_byte_identical(self, tmp_path):
         op = make_op()
@@ -251,22 +251,22 @@ class TestProfilePersistence:
         with pytest.raises(ExplorationError, match="foreign profile"):
             make_engine(gemm(8, 8, 24), tune=profile)
 
-    def test_old_profile_backend_keys_are_ignored(self):
+    @pytest.mark.parametrize("old", ["affine", "fused", "bitset"])
+    def test_old_profile_backend_keys_are_ignored(self, old):
         # Checkpoints written while the tuner raced backends carry the
         # winner; resuming them must still work, on whatever backend runs.
         engine, _ = run_sweep(make_op(), tune="auto", batch_size=8)
         profile = engine.tuner.profile_dict()
         assert "backend" not in profile
-        for old in ("affine", "fused", "bitset"):
-            legacy = dict(profile, backend=old, requested_backend="auto")
-            pinned = make_engine(make_op(), tune=legacy)
-            assert pinned.backend_name == "fused"
-            assert pinned.tuner.calibrated
-            assert pinned.tuner.decided_batch_size == profile["batch_size"]
-            pinned.close()
+        legacy = dict(profile, backend=old, requested_backend="auto")
+        pinned = make_engine(make_op(), tune=legacy)
+        assert pinned.backend_name == "fused"
+        assert pinned.tuner.calibrated
+        assert pinned.tuner.decided_batch_size == profile["batch_size"]
+        pinned.close()
         # The identity checks still apply to legacy profiles.
         with pytest.raises(ExplorationError, match="foreign profile"):
-            make_engine(gemm(8, 8, 24), tune=dict(profile, backend="affine"))
+            make_engine(gemm(8, 8, 24), tune=legacy)
 
     def test_newer_profile_version_is_refused(self):
         with pytest.raises(ExplorationError, match="newer"):

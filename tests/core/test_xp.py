@@ -122,14 +122,15 @@ class TestEngineDeviceKnob:
         with pytest.raises(ExplorationError, match="registered namespaces"):
             EvaluationEngine(op, make_arch(pe_dims=(4, 4)), device="tpu")
 
-    def test_device_reports_bit_identical_to_host(self, fake_namespace):
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_device_reports_bit_identical_to_host(self, backend, fake_namespace):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
         candidates = pruned_candidates(
             op, pe_dims=(4, 4), allow_packing=True, max_candidates=8
         )
-        host = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        dev = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused",
+        host = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend)
+        dev = EvaluationEngine(op, arch, cache=RelationCache(), backend=backend,
                                device="fake")
         for candidate in candidates:
             assert report_dict(host.evaluate(candidate)) == report_dict(

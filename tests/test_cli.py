@@ -61,18 +61,20 @@ class TestParser:
         for stage in ("stamps", "volumes", "transfer"):
             assert stage in output
 
-    def test_explore_removed_backend_is_one_line_usage_error(self, capsys):
+    @pytest.mark.parametrize("name", ["affine", "bitset"])
+    @pytest.mark.parametrize("command", [
+        ["explore", "--kernel", "gemm", "--sizes", "12", "12", "12"],
+        ["serve", "--listen", "127.0.0.1:0"],
+    ], ids=["explore", "serve"])
+    def test_removed_backend_is_one_line_usage_error(self, command, name, capsys):
         with pytest.raises(SystemExit) as info:
-            main([
-                "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
-                "--backend", "bitset",
-            ])
+            main(command + ["--backend", name])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert "invalid choice: 'bitset'" in errors[0]
+        assert f"invalid choice: '{name}'" in errors[0]
         assert "'auto', 'interp', 'fused'" in errors[0]
 
     def test_explore_unavailable_device_is_clear_capability_error(self, capsys):
