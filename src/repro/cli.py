@@ -180,7 +180,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
             key: stats[key]
-            for key in ("fused_path", "compiled_path", "reference_path",
+            for key in ("fused_path", "reference_path",
                         "spacetime_hits", "stamp_fallback_exprs")
             if stats.get(key)
         }

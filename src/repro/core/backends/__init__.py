@@ -10,11 +10,11 @@ computed:
 ``fused``
     The compiled backend (:mod:`repro.core.backends.fused`): the whole batch's
     deduplicated stamp coefficient rows stack into one matmul per cached
-    domain chunk, uniform-block layouts count volumes with segmented sorts and
-    shifted-slice membership windows, other layouts with the compiled
-    group-layout kernel, and candidates whose (PE, time-rank) columns are
-    *content-identical* to an already evaluated candidate replay its report
-    (verified by exact array comparison).
+    domain chunk, every tensor's volumes are counted by one kernel —
+    segmented sorts over (PE, element) blocks padded to a uniform width, and
+    shifted-slice membership windows — and candidates whose (PE, time-rank)
+    columns are *content-identical* to an already evaluated candidate replay
+    its report (verified by exact array comparison).
 
 ``auto`` is the default and resolves to ``fused`` at engine construction, so
 ``engine.backend_name`` always names the backend that actually runs.

@@ -1,5 +1,5 @@
-"""Compiled quasi-affine stamp evaluation and the compiled group-layout
-volume kernel, used by :class:`repro.core.backends.fused.FusedBackend`.
+"""Compiled quasi-affine stamp evaluation, used by
+:class:`repro.core.backends.fused.FusedBackend`.
 
 The interpreted hot path walks every candidate's quasi-affine expression trees
 once per candidate (`AffExpr.evaluate_vec`).  This module compiles the batch
@@ -15,14 +15,9 @@ instead:
   the cached domain chunk.  The matmul runs in float64 (BLAS); rows whose
   interval bounds do not fit float64 exactly are evaluated with exact int64
   accumulation instead, so the speedup never costs precision.
-* :class:`GroupLayout` caches the candidate-invariant part of the volume
-  kernel per (space-stamp signature, tensor): the (PE, element) group sort
-  permutation, dense group ids, and per-interconnect-slot source groups.
-  With it, :func:`compiled_group_volume_metrics` reduces each candidate's
-  Table II counting to one narrow-key sort plus shifted-equality and
-  membership tests — the same exact counts as the group-major kernel.  It
-  serves the layouts the fused windowed kernel cannot take: ragged blocks,
-  several distinct references, or non-injective candidates.
+
+The volume kernel and its group layout live in
+:mod:`repro.core.backends.fused`.
 """
 
 from __future__ import annotations
@@ -30,16 +25,12 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.volumes import VolumeMetrics
 from repro.errors import SpaceError
 from repro.isl.expr import Abs, AffExpr, FloorDiv, Mod
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import TensorRelations
 
 #: int64 values below this magnitude are represented exactly by float64.
 _FLOAT_EXACT = 1 << 53
@@ -358,245 +349,3 @@ class CompiledEvaluator:
         else:
             cache.move_to_end(index)
         return values
-
-
-# -- candidate-invariant volume layout -------------------------------------------
-
-
-@dataclass
-class GroupLayout:
-    """Space-stamp-derived structure of one tensor, shared by a sweep family.
-
-    Pairs are the (instance, distinct reference) accesses of the tensor; a
-    *group* is a distinct ``(PE, element)`` pair.  Everything here depends
-    only on the space stamps and the cached relations, so candidates that
-    share a space signature (the common case in sweep families) reuse it and
-    pay only time-stamp-dependent work per candidate.
-    """
-
-    #: Instance index of each pair, in group-sorted order.
-    perm_mod: np.ndarray
-    #: Dense group id of each pair, group-sorted order (int32).
-    dense_sorted: np.ndarray
-    #: Dense group id of each pair in original (per-reference) order (int32).
-    dense_orig: np.ndarray
-    group_count: int
-    #: Number of *distinct* references (identical references are collapsed).
-    references: int
-    #: Per interconnect slot: does the pair's group have a valid source group?
-    slot_valid: list[np.ndarray]
-    #: Per slot: dense source group minus dense group, per pair (int32).
-    slot_delta: list[np.ndarray]
-    #: Per slot: the delta shared by every valid pair, or ``None`` when it
-    #: varies (systolic links between uniformly-populated PEs share one).
-    slot_delta_const: list[int | None]
-    #: Per slot: dense source group per *group* (sentinel ``group_count``).
-    slot_src_group: list[np.ndarray]
-
-    def nbytes(self) -> int:
-        total = self.perm_mod.nbytes + self.dense_sorted.nbytes + self.dense_orig.nbytes
-        for arrays in (self.slot_valid, self.slot_delta, self.slot_src_group):
-            total += sum(a.nbytes for a in arrays)
-        return total
-
-
-def build_group_layout(
-    pe_lin: np.ndarray,
-    relations: "TensorRelations",
-    predecessor_table: np.ndarray,
-    spatial_interval: int,
-) -> GroupLayout | None:
-    """Build the candidate-invariant group structure for one tensor."""
-    footprint = relations.footprint
-    length = pe_lin.size
-    segments = [
-        relations.dense_keys[index * length : (index + 1) * length]
-        for index in range(relations.references)
-    ]
-    distinct: list[np.ndarray] = []
-    for segment in segments:
-        if not any(np.array_equal(segment, seen) for seen in distinct):
-            distinct.append(segment)
-    groups = [pe_lin * footprint + segment for segment in distinct]
-    pairs = groups[0] if len(groups) == 1 else np.concatenate(groups)
-    total = pairs.size
-    if total == 0 or total >= (1 << 31):
-        return None
-    perm = np.argsort(pairs, kind="stable")
-    ordered = pairs[perm]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-    dense_sorted64 = np.cumsum(boundary) - 1
-    group_count = int(dense_sorted64[-1]) + 1
-    unique_groups = ordered[boundary]
-    dense_sorted = dense_sorted64.astype(np.int32)
-    dense_orig = np.empty(total, dtype=np.int32)
-    dense_orig[perm] = dense_sorted
-    perm_mod = (perm % length).astype(np.int32)
-
-    group_pe = unique_groups // footprint
-    group_elem = unique_groups - group_pe * footprint
-    slot_valid: list[np.ndarray] = []
-    slot_delta: list[np.ndarray] = []
-    slot_delta_const: list[int | None] = []
-    slot_src_group: list[np.ndarray] = []
-    slots = predecessor_table.shape[1] if predecessor_table.size else 0
-    for slot in range(slots):
-        src_pe = predecessor_table[group_pe, slot]
-        valid = src_pe >= 0
-        if spatial_interval == 0:
-            valid &= src_pe < group_pe
-        src_raw = src_pe * footprint + group_elem
-        position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
-        present = valid & (unique_groups[position] == src_raw)
-        src_dense = np.where(present, position, group_count).astype(np.int32)
-        slot_src_group.append(src_dense)
-        slot_valid.append(present[dense_sorted])
-        group_delta = src_dense - np.arange(group_count, dtype=np.int32)
-        slot_delta.append(group_delta[dense_sorted])
-        valid_deltas = group_delta[present]
-        if valid_deltas.size and valid_deltas.min() == valid_deltas.max():
-            slot_delta_const.append(int(valid_deltas[0]))
-        else:
-            slot_delta_const.append(None)
-    return GroupLayout(
-        perm_mod=perm_mod,
-        dense_sorted=dense_sorted,
-        dense_orig=dense_orig,
-        group_count=group_count,
-        references=len(distinct),
-        slot_valid=slot_valid,
-        slot_delta=slot_delta,
-        slot_delta_const=slot_delta_const,
-        slot_src_group=slot_src_group,
-    )
-
-
-def compiled_group_volume_metrics(
-    tensor: str,
-    layout: GroupLayout,
-    t_rank: np.ndarray,
-    *,
-    spatial_interval: int,
-    temporal_interval: int,
-    footprint: int,
-    assume_unique: bool,
-    rank_span: int | None = None,
-    rank32: np.ndarray | None = None,
-) -> VolumeMetrics | None:
-    """Exact Table II metrics from a cached :class:`GroupLayout`.
-
-    Per candidate this needs one narrow-key in-place sort (int32 whenever the
-    dense key span fits), shifted-equality temporal tests, and per-slot
-    membership probes whose source groups were precomputed — no divisions, no
-    predecessor-table gathers, no re-derivation of the group order.  Counts
-    are bit-identical to the group-major kernel; returns ``None`` when the
-    temporal interval is outside the adjacency window or keys would overflow.
-    """
-    ti = temporal_interval
-    if ti < 1 or ti > 8:
-        return None
-    if t_rank.size == 0:
-        return None
-    if rank_span is None:
-        rank_span = int(t_rank.max()) + 1
-    group_count = layout.group_count
-    span = group_count * rank_span
-    if span >= (1 << 62):
-        return None
-
-    if span < (1 << 31):
-        scaled = layout.dense_sorted * rank_span
-        if rank32 is None:
-            rank32 = t_rank.astype(np.int32)
-        keys = scaled + np.take(rank32, layout.perm_mod)
-    else:
-        scaled = layout.dense_sorted.astype(np.int64) * rank_span
-        keys = scaled + np.take(t_rank, layout.perm_mod)
-    keys.sort()  # groups are the high digits, so group blocks stay in place
-
-    slot_valid = layout.slot_valid
-    slot_delta = layout.slot_delta
-    if assume_unique and layout.references == 1:
-        ranks = keys - scaled
-    else:
-        fresh = np.empty(keys.shape, dtype=bool)
-        fresh[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        if not fresh.all():
-            keys = keys[fresh]
-            scaled = scaled[fresh]
-            slot_valid = [valid[fresh] for valid in slot_valid]
-            slot_delta = [delta[fresh] for delta in slot_delta]
-        ranks = keys - scaled
-    total = int(keys.size)
-
-    temporal_mask = np.zeros(total, dtype=bool)
-    if ti == 1:
-        np.equal(keys[:-1], keys[1:] - 1, out=temporal_mask[1:])
-    else:
-        for back in range(1, ti + 1):
-            np.logical_or(
-                temporal_mask[back:], keys[:-back] == keys[back:] - ti,
-                out=temporal_mask[back:],
-            )
-    rank_guard = ranks >= ti
-    temporal_mask &= rank_guard
-    temporal_count = int(np.count_nonzero(temporal_mask))
-
-    spatial_count = 0
-    if temporal_count < total and slot_valid:
-        if temporal_count == 0:
-            # No temporal reuse (typical for input tensors): the probe set is
-            # the rank guard itself, no mask inversion needed.
-            if spatial_interval == 0:
-                probe = None  # probe everything
-            elif spatial_interval == ti:
-                probe = rank_guard
-            else:
-                probe = ranks >= spatial_interval
-        else:
-            probe = ~temporal_mask
-            if spatial_interval:
-                # Reuse the temporal guard when the intervals coincide (the
-                # common systolic case: both are one time-stamp).
-                probe &= rank_guard if spatial_interval == ti else ranks >= spatial_interval
-        keys_p = keys if probe is None else np.compress(probe, keys)
-        if keys_p.size:
-            spatial_mask: np.ndarray | None = None
-            wide = keys.dtype == np.int64
-            for valid, delta, delta_const in zip(
-                slot_valid, slot_delta, layout.slot_delta_const
-            ):
-                valid_p = valid if probe is None else np.compress(probe, valid)
-                if not valid_p.any():
-                    continue
-                if delta_const is not None:
-                    # Uniform source offset (systolic links between equally
-                    # populated PEs): one scalar add replaces the per-pair
-                    # delta gather and multiply.
-                    probes = keys_p + (delta_const * rank_span - spatial_interval)
-                else:
-                    delta_p = delta if probe is None else np.compress(probe, delta)
-                    if wide:
-                        delta_p = delta_p.astype(np.int64)
-                    probes = keys_p + delta_p * rank_span - spatial_interval
-                positions = np.searchsorted(keys, probes)
-                hits = np.take(keys, positions, mode="clip") == probes
-                hits &= valid_p
-                if spatial_mask is None:
-                    spatial_mask = hits
-                else:
-                    spatial_mask |= hits
-            if spatial_mask is not None:
-                spatial_count = int(np.count_nonzero(spatial_mask))
-
-    return VolumeMetrics(
-        tensor=tensor,
-        total=total,
-        reuse=temporal_count + spatial_count,
-        temporal_reuse=temporal_count,
-        spatial_reuse=spatial_count,
-        footprint=footprint,
-    )

@@ -6,12 +6,13 @@ A backend decides *how* the per-candidate hot path of a sweep is computed:
   relation chunks (interpreted expression trees candidate by candidate vs
   compiled coefficient matrices stacked per batch), and
 * which exact membership kernel counts the Table II volumes (the group-major
-  sort/adjacency kernel vs the fused and compiled group-layout kernels).
+  sort/adjacency kernel vs the fused padded-block kernel).
 
 Every backend is *exact*: reports are bit-identical across backends, so the
 choice is purely a performance decision.  Backends that cannot handle a case
-return ``None`` from :meth:`EngineBackend.volume_metrics` and the engine falls
-back to the reference kernel, exactly like the PR 1 fast path did.
+(the fused kernel stops at temporal intervals above 8) return ``None`` from
+:meth:`EngineBackend.volume_metrics` and the engine falls back to its
+reference kernel.
 """
 
 from __future__ import annotations

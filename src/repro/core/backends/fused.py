@@ -8,16 +8,17 @@ Three sources of redundancy in a sweep batch are removed here:
   of *every* candidate in the batch stack into one coefficient matrix, and the
   whole cached domain chunk is evaluated with a single float64-exact BLAS
   matmul.  Per-candidate stamp columns are row views of the fused result.
-* **Windowed volume kernels** — for layouts with *uniform* group blocks (every
-  dense (PE, element) group holds the same number of pairs, the common case
-  for the paper's operators), the group-major sort degenerates to one segmented
-  sort of the ``(groups, m)`` rank matrix, and spatial membership for
-  constant-offset interconnect slots becomes ``2m - 1`` shifted *slice*
-  comparisons — no ``searchsorted``, no per-pair gathers.  Slots that share a
-  source offset share one membership pass.  Ragged, multi-reference and
-  non-injective layouts take the compiled group-layout kernel instead, and
-  temporal intervals beyond both kernels' window take the engine's reference
-  kernel, so counts stay bit-identical.
+* **One windowed volume kernel** — every tensor's (PE, element) groups are
+  laid out as uniform blocks (boundary-truncated groups are padded to the
+  widest block with a sentinel rank), so the group-major sort degenerates to
+  one segmented sort of the ``(groups, m)`` rank matrix, and spatial
+  membership for constant-offset interconnect slots becomes ``2m - 1``
+  shifted *slice* comparisons — no ``searchsorted``, no per-pair gathers.
+  Slots that share a source offset share one membership pass.  Repeated
+  (group, rank) pairs of non-injective candidates and multi-reference tensors
+  become pads too, so they count once.  Temporal intervals beyond the
+  kernel's window take the engine's reference kernel, so counts stay
+  bit-identical.
 * **Spacetime memoisation** — structurally distinct candidates frequently
   assign *identical* (PE, time-rank) columns (skewed variants of one family
   often collapse onto the same rank order).  The engine memo cannot see that
@@ -37,20 +38,13 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.arch.pe_array import PEArray
-from repro.core.backends.affine import (
-    CompiledEvaluator,
-    CompiledExprSet,
-    GroupLayout,
-    _evict_lru,
-    build_group_layout,
-    compiled_group_volume_metrics,
-)
+from repro.core.backends.affine import CompiledEvaluator, CompiledExprSet, _evict_lru
 from repro.core.backends.base import BatchStampProvider, EngineBackend
 from repro.core.dataflow import Dataflow
 from repro.core.volumes import VolumeMetrics
@@ -58,7 +52,7 @@ from repro.core.xp import ArrayNamespace, NumpyNamespace
 from repro.errors import DataflowError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import OpRelations
+    from repro.core.engine import OpRelations, TensorRelations
 
 #: Kernel-level default: the host namespace, so the module stays importable
 #: and exact without an engine (unit tests drive the kernel directly).
@@ -101,21 +95,7 @@ def _volume_pool() -> ThreadPoolExecutor | None:
 _WINDOW_MAX_BLOCK = 16
 
 
-# -- fused layout ------------------------------------------------------------------
-
-
-@dataclass
-class FusedSlot:
-    """One interconnect slot, classified for the fused kernel."""
-
-    #: Constant dense-group offset shared by every valid pair, or ``None``.
-    delta_const: int | None
-    #: Per-pair dense-group offset in group-sorted order (int32).
-    delta: np.ndarray
-    #: Per-pair validity (source group exists) in group-sorted order.
-    valid: np.ndarray
-    #: Host-precomputed ``valid.any()`` so slot skipping never syncs a device.
-    valid_any: bool = True
+# -- group layout ------------------------------------------------------------------
 
 
 @dataclass
@@ -131,77 +111,87 @@ class _DeviceLayout:
     #: Gather index over the rank column (int64 on device namespaces, whose
     #: indexing requires it; the original int32 ``perm_mod`` on the host).
     perm: Any
-    #: Dense group id per pair, group-sorted (int32).
+    #: Dense group id per slot (int32).
     dense: Any
     #: Per-slot validity masks (bool) and dense-group offsets (int32).
     slot_valid: list[Any]
     slot_delta: list[Any]
+    #: Pad positions and the real-pair mask (``None`` for uniform layouts).
+    pad_index: Any
+    real: Any
 
 
-class FusedLayout:
-    """Candidate-invariant extras the fused volume kernel needs per tensor.
+@dataclass
+class GroupLayout:
+    """Space-stamp-derived structure of one tensor, shared by a sweep family.
 
-    Built once per :class:`GroupLayout` and cached with it per space
-    signature, so the uniformity check and the slot classification never run
-    per candidate.  ``usable`` is ``False`` when the layout breaks one of the
-    kernel's assumptions (ragged blocks, several distinct references);
-    callers then chain to :func:`compiled_group_volume_metrics`.
+    Pairs are the (instance, distinct reference) accesses of the tensor; a
+    *group* is a distinct ``(PE, element)`` pair.  Pairs are laid out
+    group-major in ``group_count`` blocks of ``block`` slots each: blocks of
+    groups with fewer pairs than the widest one (boundary-truncated tiles)
+    are padded, so every layout is a uniform ``(group_count, block)`` matrix.
+    Everything here depends only on the space stamps and the cached
+    relations, so candidates that share a space signature (the common case in
+    sweep families) reuse it and pay only time-stamp-dependent work.
     """
 
-    def __init__(self, layout: GroupLayout):
-        self.layout = layout
-        pairs = int(layout.dense_sorted.size)
-        groups = layout.group_count
-        self.pairs = pairs
-        self.block = pairs // groups if groups else 0
-        self.usable = (
-            layout.references == 1
-            and groups > 0
-            and self.block > 0
-            and groups * self.block == pairs
-            # Uniform blocks: every group holds exactly ``block`` pairs, so the
-            # group of the pair at sorted position p is p // block.
-            and bool(
-                np.array_equal(
-                    layout.dense_sorted,
-                    np.arange(pairs, dtype=np.int64) // self.block,
-                )
-            )
-        )
-        self.slots: list[FusedSlot] = []
-        if self.usable:
-            for delta_const, delta, valid in zip(
-                layout.slot_delta_const, layout.slot_delta, layout.slot_valid
-            ):
-                self.slots.append(
-                    FusedSlot(delta_const, delta, valid, bool(valid.any()))
-                )
-        #: Resident per-namespace device copies, keyed ``name:device``.
-        self._device: dict[str, _DeviceLayout] = {}
+    #: Instance index of each slot (int32; 0 for pads).
+    perm_mod: np.ndarray
+    #: Dense group id of each slot (int32).
+    dense: np.ndarray
+    group_count: int
+    #: Slots per group block (the widest group's pair count).
+    block: int
+    #: Number of real (non-pad) pairs.
+    pairs: int
+    #: Number of *distinct* references (identical references are collapsed).
+    references: int
+    #: Pad slot positions and the real-slot mask; ``None`` when no block
+    #: needed padding.
+    pad_index: np.ndarray | None
+    real: np.ndarray | None
+    #: Per interconnect slot: does the slot's group have a valid source group?
+    slot_valid: list[np.ndarray]
+    #: Per slot: dense source group minus dense group (int32).
+    slot_delta: list[np.ndarray]
+    #: Per slot: the delta shared by every valid group, or ``None`` when it
+    #: varies (systolic links between uniformly-populated PEs share one).
+    slot_delta_const: list[int | None]
+    #: Per slot: does any group have a source?  Host-side, so slot skipping
+    #: never syncs a device.
+    slot_any: list[bool]
+    #: Resident per-namespace device copies, keyed ``name:device``.
+    _device: dict[str, _DeviceLayout] = field(default_factory=dict, repr=False)
+
+    def nbytes(self) -> int:
+        arrays = [self.perm_mod, self.dense, self.pad_index, self.real,
+                  *self.slot_valid, *self.slot_delta]
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def device_arrays(self, xp: ArrayNamespace, on_transfer=None) -> _DeviceLayout:
         """The layout arrays on ``xp``'s device, uploaded once and kept."""
-        if xp.is_numpy:
-            key = "numpy"
-        else:
-            key = f"{xp.name}:{xp.device}"
+        key = "numpy" if xp.is_numpy else f"{xp.name}:{xp.device}"
         bundle = self._device.get(key)
         if bundle is None:
-            layout = self.layout
             if xp.is_numpy:
                 bundle = _DeviceLayout(
-                    perm=layout.perm_mod,
-                    dense=layout.dense_sorted,
-                    slot_valid=[slot.valid for slot in self.slots],
-                    slot_delta=[slot.delta for slot in self.slots],
+                    perm=self.perm_mod,
+                    dense=self.dense,
+                    slot_valid=self.slot_valid,
+                    slot_delta=self.slot_delta,
+                    pad_index=self.pad_index,
+                    real=self.real,
                 )
             else:
                 started = time.perf_counter()
+                padded = self.pad_index is not None
                 bundle = _DeviceLayout(
-                    perm=xp.asarray(layout.perm_mod, "int64"),
-                    dense=xp.asarray(layout.dense_sorted),
-                    slot_valid=[xp.asarray(slot.valid) for slot in self.slots],
-                    slot_delta=[xp.asarray(slot.delta) for slot in self.slots],
+                    perm=xp.asarray(self.perm_mod, "int64"),
+                    dense=xp.asarray(self.dense),
+                    slot_valid=[xp.asarray(valid) for valid in self.slot_valid],
+                    slot_delta=[xp.asarray(delta) for delta in self.slot_delta],
+                    pad_index=xp.asarray(self.pad_index, "int64") if padded else None,
+                    real=xp.asarray(self.real) if padded else None,
                 )
                 if on_transfer is not None:
                     on_transfer(time.perf_counter() - started)
@@ -209,9 +199,104 @@ class FusedLayout:
         return bundle
 
 
+def build_group_layout(
+    pe_lin: np.ndarray,
+    relations: "TensorRelations",
+    predecessor_table: np.ndarray,
+    spatial_interval: int,
+) -> GroupLayout | None:
+    """Build the candidate-invariant group structure for one tensor.
+
+    Returns ``None`` when the tensor has no pairs or the padded layout would
+    not fit int32 slot positions.
+    """
+    footprint = relations.footprint
+    length = pe_lin.size
+    segments = [
+        relations.dense_keys[index * length : (index + 1) * length]
+        for index in range(relations.references)
+    ]
+    distinct: list[np.ndarray] = []
+    for segment in segments:
+        if not any(np.array_equal(segment, seen) for seen in distinct):
+            distinct.append(segment)
+    groups = [pe_lin * footprint + segment for segment in distinct]
+    pairs = groups[0] if len(groups) == 1 else np.concatenate(groups)
+    total = pairs.size
+    if total == 0:
+        return None
+    perm = np.argsort(pairs, kind="stable")
+    ordered = pairs[perm]
+    boundary = np.empty(total, dtype=bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    group_count = int(starts.size)
+    block = int(np.diff(starts, append=total).max())
+    padded = group_count * block
+    # Slot positions are int32, so the padded size must fit.
+    if padded >= (1 << 31):
+        return None
+    unique_groups = ordered[starts]
+    instance = perm % length
+    pad_index = real = None
+    if padded == total:
+        perm_mod = instance.astype(np.int32)
+    else:
+        # Ragged blocks: pair k of group g goes to slot g * block + k.
+        group_of = np.cumsum(boundary) - 1
+        slot = group_of * block + (np.arange(total) - starts[group_of])
+        perm_mod = np.zeros(padded, dtype=np.int32)
+        perm_mod[slot] = instance
+        real = np.zeros(padded, dtype=bool)
+        real[slot] = True
+        pad_index = np.flatnonzero(~real)
+    dense = np.repeat(np.arange(group_count, dtype=np.int32), block)
+
+    group_pe = unique_groups // footprint
+    group_elem = unique_groups - group_pe * footprint
+    group_ids = np.arange(group_count, dtype=np.int32)
+    slot_valid: list[np.ndarray] = []
+    slot_delta: list[np.ndarray] = []
+    slot_delta_const: list[int | None] = []
+    slot_any: list[bool] = []
+    slots = predecessor_table.shape[1] if predecessor_table.size else 0
+    for slot_id in range(slots):
+        src_pe = predecessor_table[group_pe, slot_id]
+        valid = src_pe >= 0
+        if spatial_interval == 0:
+            valid &= src_pe < group_pe
+        src_raw = src_pe * footprint + group_elem
+        position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
+        present = valid & (unique_groups[position] == src_raw)
+        group_delta = np.where(present, position - group_ids, 0).astype(np.int32)
+        slot_valid.append(np.repeat(present, block))
+        slot_delta.append(np.repeat(group_delta, block))
+        valid_deltas = group_delta[present]
+        if valid_deltas.size and valid_deltas.min() == valid_deltas.max():
+            slot_delta_const.append(int(valid_deltas[0]))
+        else:
+            slot_delta_const.append(None)
+        slot_any.append(bool(valid_deltas.size))
+    return GroupLayout(
+        perm_mod=perm_mod,
+        dense=dense,
+        group_count=group_count,
+        block=block,
+        pairs=total,
+        references=len(distinct),
+        pad_index=pad_index,
+        real=real,
+        slot_valid=slot_valid,
+        slot_delta=slot_delta,
+        slot_delta_const=slot_delta_const,
+        slot_any=slot_any,
+    )
+
+
 def fused_group_volume_metrics(
     tensor: str,
-    fused: FusedLayout,
+    layout: GroupLayout,
     t_rank: np.ndarray,
     *,
     spatial_interval: int,
@@ -219,6 +304,7 @@ def fused_group_volume_metrics(
     footprint: int,
     rank_span: int,
     rank32: np.ndarray,
+    assume_unique: bool,
     xp: ArrayNamespace | None = None,
     rank_wide: Any = None,
     rank_narrow: Any = None,
@@ -226,11 +312,14 @@ def fused_group_volume_metrics(
 ) -> VolumeMetrics | None:
     """Exact Table II metrics via segmented sorts and shifted-slice windows.
 
-    Requires a usable :class:`FusedLayout` (uniform blocks, one reference) and
-    an injective candidate (unique (stamp, element) pairs); the caller
-    guarantees both.  Returns ``None`` when the temporal interval is outside
-    the adjacency window or keys would overflow — the compiled group-layout
-    kernel then takes over.
+    Keys are ``group * (rank_span + 1) + rank``; pad slots carry the sentinel
+    rank ``rank_span``, so they sort to the tail of their block, keys stay
+    globally sorted, and no probe or temporal predecessor of a real pair can
+    equal a pad.  Unless the candidate is injective and the tensor has one
+    distinct reference, repeated (group, rank) pairs are turned into pads and
+    the blocks sorted again, so every pair is counted once.  Returns ``None``
+    when the temporal interval is outside the adjacency window or keys would
+    overflow — the engine's reference kernel then takes over.
 
     One codepath for every array namespace: on the host namespace the
     operations below bind directly to numpy, and the integer-only arithmetic
@@ -244,18 +333,19 @@ def fused_group_volume_metrics(
         return None
     if xp is None:
         xp = _HOST
-    n = fused.pairs
-    m = fused.block
-    groups = fused.layout.group_count
+    n = int(layout.perm_mod.size)
+    m = layout.block
+    groups = layout.group_count
     span = int(rank_span)
-    if n == 0 or span <= 0:
+    if span <= 0:
         return None
-    # Probe values reach +-(2 * groups * span); keep them exactly representable.
-    if 2 * (groups + 1) * span >= (1 << 62):
+    stride = span + 1
+    # Probe values reach +-(2 * groups * stride); keep them exactly representable.
+    if 2 * (groups + 1) * stride >= (1 << 62):
         return None
-    narrow = 2 * (groups + 1) * span < (1 << 31)
+    narrow = 2 * (groups + 1) * stride < (1 << 31)
 
-    dev = fused.device_arrays(xp, on_transfer)
+    dev = layout.device_arrays(xp, on_transfer)
     if rank_wide is None or rank_narrow is None:
         rank_wide, rank_narrow = t_rank, rank32
         if not xp.is_numpy:
@@ -265,20 +355,39 @@ def fused_group_volume_metrics(
             if on_transfer is not None:
                 on_transfer(time.perf_counter() - started)
 
-    # Segmented sort: ranks per pair in group-sorted order, then each group's
-    # block sorted independently.  Within-block sorting never moves a pair
-    # across blocks, so the per-pair slot metadata stays aligned.  The int32
-    # rank copy is only exact while the span fits; huge-span ops take the
-    # int64 path end to end.
-    rank_source = rank_narrow if narrow else rank_wide
-    ranks = xp.take(rank_source, dev.perm).reshape(groups, m)
-    ranks = xp.sort2d(ranks).ravel()
-    if narrow:
-        keys = dev.dense * xp.int_scalar(span, True)
+    def block_sorted_keys(ranks):
+        # Segmented sort: each group's block sorted independently.  Sorting
+        # within a block never moves a pair across blocks, so the per-slot
+        # metadata stays aligned.
+        ranks = xp.sort2d(ranks.reshape(groups, m)).ravel()
+        if narrow:
+            keys = dev.dense * xp.int_scalar(stride, True)
+        else:
+            keys = xp.astype(dev.dense, "int64") * stride
         keys += ranks
-    else:
-        keys = xp.astype(dev.dense, "int64") * span
-        keys += ranks
+        return ranks, keys
+
+    # Ranks per slot in group-major order.  The int32 rank copy is only exact
+    # while the span fits; huge-span ops take the int64 path end to end.
+    ranks = xp.take(rank_narrow if narrow else rank_wide, dev.perm)
+    if dev.pad_index is not None:
+        ranks[dev.pad_index] = span
+    ranks, keys = block_sorted_keys(ranks)
+    live = dev.real
+    total = layout.pairs
+    if not (assume_unique and layout.references == 1):
+        # Non-injective candidates and several references can repeat a
+        # (group, rank) pair; each repeat becomes a pad so it counts once.
+        repeat = xp.zeros(n, "bool")
+        repeat[1:] = keys[1:] == keys[:-1]
+        if live is not None:
+            repeat &= live
+        repeats = xp.count_nonzero(repeat)
+        if repeats:
+            ranks[repeat] = span
+            ranks, keys = block_sorted_keys(ranks)
+            live = ranks < span
+            total -= repeats
 
     # Temporal reuse: (g, r - ti) can only sit within ti positions back in the
     # block; a value match implies the same group because 0 <= r - ti < span.
@@ -289,30 +398,33 @@ def fused_group_volume_metrics(
         for back in range(1, ti + 1):
             temporal[back:] |= keys[:-back] == keys[back:] - ti
     temporal &= ranks >= ti
+    if live is not None:
+        temporal &= live
     temporal_count = xp.count_nonzero(temporal)
 
     spatial_count = 0
-    if temporal_count < n and fused.slots:
+    if temporal_count < total and any(layout.slot_any):
         si = spatial_interval
         rank_ok = ranks >= si if si else None
+        if live is not None:
+            rank_ok = live if rank_ok is None else rank_ok & live
         spatial = xp.zeros(n, "bool")
         window_masks: dict[int, Any] = {}
-        for slot_index, slot in enumerate(fused.slots):
-            if not slot.valid_any:
+        for slot_index, delta_const in enumerate(layout.slot_delta_const):
+            if not layout.slot_any[slot_index]:
                 continue
             slot_valid = dev.slot_valid[slot_index]
-            if slot.delta_const is not None and m <= _WINDOW_MAX_BLOCK:
+            if delta_const is not None and m <= _WINDOW_MAX_BLOCK:
                 # Constant source offset: the matching position, if any, lies
                 # within one block of p + delta * m, so membership is 2m - 1
                 # shifted slice comparisons.  Slots sharing an offset share
                 # the pass.
-                delta = slot.delta_const
-                hits = window_masks.get(delta)
+                hits = window_masks.get(delta_const)
                 if hits is None:
-                    shift = delta * span - si
+                    shift = delta_const * stride - si
                     probes = keys + xp.int_scalar(shift, narrow)
                     hits = xp.zeros(n, "bool")
-                    centre = delta * m
+                    centre = delta_const * m
                     for w in range(centre - m + 1, centre + m):
                         if w >= 0:
                             if w == 0:
@@ -323,7 +435,7 @@ def fused_group_volume_metrics(
                             hits[-w:] |= keys[:w] == probes[-w:]
                     if rank_ok is not None:
                         hits &= rank_ok
-                    window_masks[delta] = hits
+                    window_masks[delta_const] = hits
                 spatial |= hits & slot_valid
             else:
                 # Per-pair source offsets: probe only the pairs that still
@@ -334,19 +446,19 @@ def fused_group_volume_metrics(
                 index = xp.flatnonzero(needed)
                 if not len(index):
                     continue
-                if slot.delta_const is not None:
-                    shift = slot.delta_const * span - si
+                if delta_const is not None:
+                    shift = delta_const * stride - si
                     probes = keys[index] + xp.int_scalar(shift, narrow)
                 else:
                     delta = dev.slot_delta[slot_index][index]
                     if narrow:
                         probes = keys[index] + (
-                            delta * xp.int_scalar(span, True)
+                            delta * xp.int_scalar(stride, True)
                             - xp.int_scalar(si, True)
                         )
                     else:
                         probes = keys[index] + (
-                            xp.astype(delta, "int64") * span - si
+                            xp.astype(delta, "int64") * stride - si
                         )
                 positions = xp.searchsorted(keys, probes)
                 hits = xp.take_clip(keys, positions) == probes
@@ -355,7 +467,7 @@ def fused_group_volume_metrics(
 
     return VolumeMetrics(
         tensor=tensor,
-        total=n,
+        total=total,
         reuse=temporal_count + spatial_count,
         temporal_reuse=temporal_count,
         spatial_reuse=spatial_count,
@@ -555,13 +667,11 @@ _MISSING = object()
 
 
 class FusedBackend(EngineBackend):
-    """Compiled, batch-stacked stamps and the compiled volume kernels.
+    """Compiled, batch-stacked stamps and the fused windowed volume kernel.
 
-    Per tensor the kernel chain is: the fused windowed kernel (uniform,
-    single-reference layouts of injective candidates), then
-    :func:`compiled_group_volume_metrics` (ragged, multi-reference or
-    non-injective layouts), then ``None``, which hands the tensor to the
-    engine's reference kernel (temporal intervals above 8).
+    Per tensor, :func:`fused_group_volume_metrics` counts every layout; a
+    tensor without a layout, or a temporal interval above 8, is handed to the
+    engine's reference kernel.
     """
 
     name = "fused"
@@ -573,9 +683,9 @@ class FusedBackend(EngineBackend):
     def __init__(self, engine):
         super().__init__(engine)
         self._pe_memo: OrderedDict[tuple, np.ndarray | None] = OrderedDict()
-        #: Per (space signature, tensor): the group layout with its fused
-        #: extras, or ``None`` when no layout could be built.
-        self._layout_memo: OrderedDict[tuple, FusedLayout | None] = OrderedDict()
+        #: Per (space signature, tensor): the group layout, or ``None`` when
+        #: no layout could be built.
+        self._layout_memo: OrderedDict[tuple, GroupLayout | None] = OrderedDict()
         #: Per-candidate int32 rank cache shared by the tensors' volume calls;
         #: the strong reference keeps the keyed array's identity stable.
         self._rank32: tuple[np.ndarray, np.ndarray] | None = None
@@ -652,7 +762,7 @@ class FusedBackend(EngineBackend):
 
     # -- volumes ----------------------------------------------------------------
 
-    def _layout(self, tensor: str, dataflow: Dataflow, pe_lin, relations) -> FusedLayout | None:
+    def _layout(self, tensor: str, dataflow: Dataflow, pe_lin, relations) -> GroupLayout | None:
         key = (self.pe_signature(dataflow), tensor)
         memo = self._layout_memo
         if key in memo:
@@ -664,13 +774,12 @@ class FusedBackend(EngineBackend):
             self.engine._predecessor_table,
             self.engine._spacetime.spatial_interval,
         )
-        fused = FusedLayout(layout) if layout is not None else None
-        memo[key] = fused
+        memo[key] = layout
         _evict_lru(
             memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,
-            lambda v: v.layout.nbytes() if v is not None else 0,
+            lambda v: v.nbytes() if v is not None else 0,
         )
-        return fused
+        return layout
 
     def _rank32_for(self, t_rank: np.ndarray) -> np.ndarray:
         cached = self._rank32
@@ -701,54 +810,37 @@ class FusedBackend(EngineBackend):
         return wide, narrow
 
     def _volume_one(
-        self, tensor, fused, t_rank, relations, assume_unique, rank_span, rank32,
-    ) -> tuple[VolumeMetrics | None, str | None]:
-        """Kernel chain for one tensor: (metrics-or-None, stats key).
+        self, tensor, layout, t_rank, relations, assume_unique, rank_span, rank32,
+    ) -> VolumeMetrics | None:
+        """The fused kernel for one tensor, or ``None`` for the reference kernel.
 
         Pure with respect to backend memos (the layout and rank32 are passed
         in), so several tensors of one candidate can run concurrently.
         """
-        if fused is None:
-            return None, None
+        if layout is None:
+            return None
         engine = self.engine
-        footprint = relations.tensors[tensor].footprint
         if rank_span is None:
             rank_span = int(t_rank.max()) + 1
-        if assume_unique and fused.usable:
-            xp = engine.xp
-            rank_wide = rank_narrow = None
-            if not xp.is_numpy:
-                rank_wide, rank_narrow = self._rank_device_for(t_rank, rank32)
-            metrics = fused_group_volume_metrics(
-                tensor,
-                fused,
-                t_rank,
-                spatial_interval=engine._spacetime.spatial_interval,
-                temporal_interval=engine.temporal_interval,
-                footprint=footprint,
-                rank_span=rank_span,
-                rank32=rank32,
-                xp=xp,
-                rank_wide=rank_wide,
-                rank_narrow=rank_narrow,
-                on_transfer=self._add_transfer_seconds,
-            )
-            if metrics is not None:
-                return metrics, "fused_path"
-        metrics = compiled_group_volume_metrics(
+        xp = engine.xp
+        rank_wide = rank_narrow = None
+        if not xp.is_numpy:
+            rank_wide, rank_narrow = self._rank_device_for(t_rank, rank32)
+        return fused_group_volume_metrics(
             tensor,
-            fused.layout,
+            layout,
             t_rank,
             spatial_interval=engine._spacetime.spatial_interval,
             temporal_interval=engine.temporal_interval,
-            footprint=footprint,
-            assume_unique=assume_unique,
+            footprint=relations.tensors[tensor].footprint,
             rank_span=rank_span,
             rank32=rank32,
+            assume_unique=assume_unique,
+            xp=xp,
+            rank_wide=rank_wide,
+            rank_narrow=rank_narrow,
+            on_transfer=self._add_transfer_seconds,
         )
-        if metrics is not None:
-            return metrics, "compiled_path"
-        return None, None
 
     def volume_metrics(
         self, tensor, dataflow, pe_lin, t_rank, relations, *, assume_unique,
@@ -780,15 +872,13 @@ class FusedBackend(EngineBackend):
                 tensor: pool.submit(self._volume_one, tensor, layouts[tensor], *args)
                 for tensor in tensors
             }
-            outcomes = {tensor: future.result() for tensor, future in futures.items()}
+            results = {tensor: future.result() for tensor, future in futures.items()}
         else:
-            outcomes = {
+            results = {
                 tensor: self._volume_one(tensor, layouts[tensor], *args)
                 for tensor in tensors
             }
-        results: dict[str, VolumeMetrics | None] = {}
-        for tensor, (metrics, path) in outcomes.items():
-            if path is not None:
-                self.engine.stats[path] += 1
-            results[tensor] = metrics
+        self.engine.stats["fused_path"] += sum(
+            metrics is not None for metrics in results.values()
+        )
         return results

@@ -881,8 +881,7 @@ class EvaluationEngine:
             # Candidates evaluated without cached relations (op above the
             # cache's max_instances guard): correct but not accelerated.
             "streaming_path": 0,
-            # Per-tensor kernel choices of the fused backend.
-            "compiled_path": 0,
+            # Per-tensor volumes counted by the fused backend's kernel.
             "fused_path": 0,
             # Candidates replayed from the fused backend's spacetime-content
             # memo (identical (PE, rank) columns under different expressions).

@@ -68,9 +68,6 @@ class ArrayNamespace:
         """Sort along the last axis; may sort in place and return ``a``."""
         raise NotImplementedError
 
-    def argsort(self, a: Any) -> Any:
-        raise NotImplementedError
-
     def searchsorted(self, sorted_a: Any, values: Any) -> Any:
         raise NotImplementedError
 
@@ -125,9 +122,6 @@ class NumpyNamespace(ArrayNamespace):
     def sort2d(self, a):
         a.sort(axis=-1)
         return a
-
-    def argsort(self, a):
-        return np.argsort(a, kind="stable")
 
     def searchsorted(self, sorted_a, values):
         return np.searchsorted(sorted_a, values)
@@ -190,9 +184,6 @@ class TorchNamespace(ArrayNamespace):
     def sort2d(self, a):
         return self._torch.sort(a, dim=-1).values
 
-    def argsort(self, a):
-        return self._torch.argsort(a, stable=True)
-
     def searchsorted(self, sorted_a, values):
         return self._torch.searchsorted(sorted_a, values)
 
@@ -249,9 +240,6 @@ class CupyNamespace(ArrayNamespace):
     def sort2d(self, a):
         a.sort(axis=-1)
         return a
-
-    def argsort(self, a):
-        return self._cupy.argsort(a)
 
     def searchsorted(self, sorted_a, values):
         return self._cupy.searchsorted(sorted_a, values)

@@ -6,12 +6,8 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.backends import BACKEND_NAMES, make_backend
-from repro.core.backends.affine import (
-    CompiledExprSet,
-    CompiledEvaluator,
-    build_group_layout,
-    lower_expr,
-)
+from repro.core.backends.affine import CompiledExprSet, CompiledEvaluator, lower_expr
+from repro.core.backends.fused import build_group_layout
 from repro.core.engine import (
     EvaluationEngine,
     RelationCache,
@@ -66,6 +62,22 @@ def nested_quasi_dataflow(op, rows=4, cols=4):
         "nested", op.domain.space,
         [i % rows, j % cols], [k, i // rows, j // cols, folded],
     )
+
+
+def collapsing_dataflow(op):
+    """A non-injective dataflow: many instances share each (PE, stamp)."""
+    dims = op.loop_dims
+    first, second, last = dims[0], dims[1], dims[-1]
+    return Dataflow.from_exprs(
+        "collapse", op.domain.space,
+        [f"{first} mod 4", f"{second} mod 4"], [f"{last} mod 2"],
+    )
+
+
+def tensor_evaluations(op, engine, candidates):
+    """Per-tensor volume evaluations of ``candidates`` fresh evaluations."""
+    tensors = len({access.tensor for access in op.accesses})
+    return tensors * (candidates - engine.stats["spacetime_hits"])
 
 
 class TestExprLowering:
@@ -315,7 +327,7 @@ class TestLayout:
             engine._spacetime.spatial_interval,
         )
         assert layout.references == 1
-        assert layout.dense_orig.size == pe_lin.size
+        assert layout.pairs == pe_lin.size
 
     def test_duplicate_reference_reports_equal_analyzer(self):
         op = self._op_with_duplicate_reference()
@@ -342,6 +354,27 @@ class TestLayout:
         )
         assert layout.references == relations.tensors[tensor].references
 
+    def test_ragged_blocks_are_padded(self):
+        # 10 = 4 + 4 + 2: the boundary PE tiles hold fewer pairs per
+        # (PE, element) group, so their blocks are padded to the widest one.
+        op = gemm(10, 10, 10)
+        arch = make_arch(pe_dims=(4, 4))
+        engine = EvaluationEngine(op, arch, cache=RelationCache())
+        relations = engine.materializer.relations(10**6)
+        i, j, k = (var(dim) for dim in op.loop_dims)
+        candidate = Dataflow.from_exprs(
+            "ragged", op.domain.space, [i % 4, j % 4], [k, i // 4, j // 4]
+        ).bind(op)
+        pe_lin, _ = engine.materializer.stamps(relations, candidate, arch.pe_array)
+        layout = build_group_layout(
+            pe_lin, relations.tensors["A"], engine._predecessor_table,
+            engine._spacetime.spatial_interval,
+        )
+        assert layout.pairs == pe_lin.size
+        assert layout.perm_mod.size == layout.group_count * layout.block > layout.pairs
+        assert int(layout.real.sum()) == layout.pairs
+        assert np.array_equal(np.flatnonzero(~layout.real), layout.pad_index)
+
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
         arch = make_arch(pe_dims=(4, 4))
@@ -361,34 +394,38 @@ class TestFusedBackend:
         arch = make_arch(pe_dims=(4, 4), interconnect="2d-systolic")
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
-        for candidate in small_candidates(op):
+        candidates = small_candidates(op)
+        for candidate in candidates:
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
-        assert engine.stats["fused_path"] > 0
-        assert engine.stats["compiled_path"] == 0
+        assert engine.stats["fused_path"] == tensor_evaluations(
+            op, engine, len(candidates)
+        )
+        assert engine.stats["reference_path"] == 0
 
-    def test_fused_splits_mixed_reference_layouts_between_kernels(self):
-        # jacobi2d mixes per-tensor layouts: the multi-reference stencil input
-        # cannot use the fused kernel (it needs collapsed single-reference
-        # blocks) and must chain to the compiled kernel, while the
-        # single-reference output still fuses — bit-identically either way.
-        from repro.tensor.kernels import jacobi2d
-
+    def test_fused_counts_multi_reference_layouts(self):
+        # jacobi2d's stencil input has five distinct references, so the
+        # fused kernel checks its blocks for repeated (group, rank) pairs;
+        # the single-reference output skips that check.  Both tensors stay
+        # on the fused kernel, bit-identically.
         op = jacobi2d(10, 10)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
         reference = EvaluationEngine(op, arch, cache=RelationCache(), backend="interp")
-        for candidate in small_candidates(op, count=3):
+        candidates = small_candidates(op, count=3)
+        for candidate in candidates:
             assert report_dict(reference.evaluate(candidate)) == report_dict(
                 engine.evaluate(candidate)
             )
-        assert engine.stats["fused_path"] > 0
-        assert engine.stats["compiled_path"] + engine.stats["reference_path"] > 0
+        assert engine.stats["fused_path"] == tensor_evaluations(
+            op, engine, len(candidates)
+        )
+        assert engine.stats["reference_path"] == 0
 
     def test_fused_wide_interval_falls_back_to_reference(self):
-        # Both sort-based kernels are limited to temporal intervals <= 8;
-        # wider intervals go to the engine's reference kernel.
+        # The fused kernel is limited to temporal intervals <= 8; wider
+        # intervals go to the engine's reference kernel.
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
         candidate = small_candidates(op)[0]
@@ -398,8 +435,7 @@ class TestFusedBackend:
         )
         assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         assert engine.stats["fused_path"] == 0
-        assert engine.stats["compiled_path"] == 0
-        assert engine.stats["reference_path"] > 0
+        assert engine.stats["reference_path"] == tensor_evaluations(op, engine, 1)
 
     def test_spacetime_memo_replays_identical_stamp_content(self):
         # Shifting every time expression by a constant changes the structural
@@ -501,52 +537,43 @@ class TestFusedBackend:
 
 
 class TestKernelChain:
-    """The fused backend's per-tensor kernel chain over every library kernel.
+    """The fused backend's per-tensor kernel over every library kernel.
 
-    Each tensor evaluation takes exactly one of the fused windowed kernel
-    (uniform, single-reference, injective layouts), the compiled group
-    kernel (every other layout) or the engine's reference kernel (temporal
-    intervals above 8), and every choice reproduces the analyzer.
+    Every tensor evaluation — uniform or ragged blocks, one or several
+    references, injective or not — takes the fused windowed kernel, except
+    temporal intervals above 8, which take the engine's reference kernel;
+    both reproduce the analyzer.
     """
 
-    #: Library kernels beyond the gemm/conv2d matrix above, and whether
-    #: some tensor of theirs needs the compiled kernel.
+    #: Every library kernel family, at sizes whose PE tiles leave ragged
+    #: boundary blocks.
     KERNELS = {
-        "conv1d": (lambda: conv1d(12, 3), False),
-        "depthwise": (lambda: depthwise_conv2d(4, 6, 6, 3, 3), True),
-        "mttkrp": (lambda: mttkrp(6, 6, 6, 6), True),
-        "mmc": (lambda: mmc(6, 6, 6, 6), True),
-        "jacobi2d": (lambda: jacobi2d(10, 10), True),
+        "gemm": lambda: gemm(10, 10, 10),
+        "conv2d": lambda: conv2d(4, 4, 7, 7, 3, 3),
+        "conv1d": lambda: conv1d(12, 3),
+        "depthwise": lambda: depthwise_conv2d(4, 6, 6, 3, 3),
+        "mttkrp": lambda: mttkrp(6, 6, 6, 6),
+        "mmc": lambda: mmc(6, 6, 6, 6),
+        "jacobi2d": lambda: jacobi2d(10, 10),
     }
-
-    @staticmethod
-    def _tensor_evaluations(op, engine, candidates):
-        tensors = len({access.tensor for access in op.accesses})
-        return tensors * (len(candidates) - engine.stats["spacetime_hits"])
 
     @pytest.mark.parametrize("interconnect", ["2d-systolic", "mesh", "multicast"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_every_kernel_matches_analyzer(self, kernel, interconnect):
-        make_op, needs_compiled = self.KERNELS[kernel]
-        op = make_op()
+        op = self.KERNELS[kernel]()
         arch = make_arch(pe_dims=(4, 4), interconnect=interconnect)
         engine = EvaluationEngine(op, arch, cache=RelationCache(), backend="fused")
-        candidates = small_candidates(op, count=4)
-        assert candidates
+        candidates = small_candidates(op, count=4) + [collapsing_dataflow(op)]
         for candidate in candidates:
             reference = TenetAnalyzer(op, candidate, arch).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         stats = engine.stats
-        assert stats["fused_path"] > 0
-        assert (stats["compiled_path"] > 0) == needs_compiled
+        assert stats["fused_path"] == tensor_evaluations(op, engine, len(candidates))
         assert stats["reference_path"] == 0
-        assert stats["fused_path"] + stats["compiled_path"] == (
-            self._tensor_evaluations(op, engine, candidates)
-        )
 
     @pytest.mark.parametrize("interval", [1, 2, 4, 7, 8, 9, 11, 16])
     def test_temporal_interval_selects_kernel(self, interval):
-        # mmc needs both sort-based kernels; both stop at interval 8.
+        # The fused kernel's adjacency window stops at interval 8.
         op = mmc(6, 6, 6, 6)
         arch = make_arch(pe_dims=(4, 4))
         engine = EvaluationEngine(
@@ -560,13 +587,12 @@ class TestKernelChain:
             ).analyze()
             assert report_dict(reference) == report_dict(engine.evaluate(candidate))
         stats = engine.stats
-        evaluations = self._tensor_evaluations(op, engine, candidates)
+        evaluations = tensor_evaluations(op, engine, len(candidates))
         if interval <= 8:
-            assert stats["fused_path"] > 0 and stats["compiled_path"] > 0
-            assert stats["fused_path"] + stats["compiled_path"] == evaluations
+            assert stats["fused_path"] == evaluations
             assert stats["reference_path"] == 0
         else:
-            assert stats["fused_path"] == 0 and stats["compiled_path"] == 0
+            assert stats["fused_path"] == 0
             assert stats["reference_path"] == evaluations
 
 

@@ -1,9 +1,11 @@
 """Property-based differential test: fused reports across array namespaces.
 
-Hypothesis draws random GEMM dataflows over uniform-block PE windows —
-space-axis pairs, time-stamp orders, skews into the inner time stamp — and
-asserts the fused backend's reports are *byte-identical* (JSON-serialised,
-sorted keys) across every namespace in the matrix:
+Hypothesis draws random GEMM dataflows over 4x4 PE windows — space-axis
+pairs, time-stamp orders, skews into the inner time stamp — at sizes that
+tile the window evenly (uniform group blocks) and at 10, which does not
+(ragged blocks, padded by the fused kernel).  It asserts the fused backend's
+reports are *byte-identical* (JSON-serialised, sorted keys) across every
+namespace in the matrix:
 
 * fused on numpy vs the interpreted reference (the pre-existing contract);
 * fused on a fake device namespace that really copies on every upload and
@@ -78,7 +80,7 @@ axis_pairs = st.sampled_from([("i", "j"), ("i", "k"), ("j", "i"),
                               ("j", "k"), ("k", "i"), ("k", "j")])
 orders = st.permutations(range(3))
 skews = st.integers(min_value=0, max_value=3)
-sizes = st.sampled_from([8, 12])
+sizes = st.sampled_from([8, 10, 12])
 
 
 @given(size=sizes, pair=axis_pairs, order=orders, skew=skews)
