@@ -116,8 +116,7 @@ class _DeviceLayout:
     #: Per-slot validity masks (bool) and dense-group offsets (int32).
     slot_valid: list[Any]
     slot_delta: list[Any]
-    #: Pad positions and the real-pair mask (``None`` for uniform layouts).
-    pad_index: Any
+    #: The real-pair mask (``None`` for uniform layouts).
     real: Any
 
 
@@ -146,9 +145,7 @@ class GroupLayout:
     pairs: int
     #: Number of *distinct* references (identical references are collapsed).
     references: int
-    #: Pad slot positions and the real-slot mask; ``None`` when no block
-    #: needed padding.
-    pad_index: np.ndarray | None
+    #: The real-slot mask; ``None`` when no block needed padding.
     real: np.ndarray | None
     #: Per interconnect slot: does the slot's group have a valid source group?
     slot_valid: list[np.ndarray]
@@ -164,7 +161,7 @@ class GroupLayout:
     _device: dict[str, _DeviceLayout] = field(default_factory=dict, repr=False)
 
     def nbytes(self) -> int:
-        arrays = [self.perm_mod, self.dense, self.pad_index, self.real,
+        arrays = [self.perm_mod, self.dense, self.real,
                   *self.slot_valid, *self.slot_delta]
         return sum(a.nbytes for a in arrays if a is not None)
 
@@ -179,19 +176,16 @@ class GroupLayout:
                     dense=self.dense,
                     slot_valid=self.slot_valid,
                     slot_delta=self.slot_delta,
-                    pad_index=self.pad_index,
                     real=self.real,
                 )
             else:
                 started = time.perf_counter()
-                padded = self.pad_index is not None
                 bundle = _DeviceLayout(
                     perm=xp.asarray(self.perm_mod, "int64"),
                     dense=xp.asarray(self.dense),
                     slot_valid=[xp.asarray(valid) for valid in self.slot_valid],
                     slot_delta=[xp.asarray(delta) for delta in self.slot_delta],
-                    pad_index=xp.asarray(self.pad_index, "int64") if padded else None,
-                    real=xp.asarray(self.real) if padded else None,
+                    real=None if self.real is None else xp.asarray(self.real),
                 )
                 if on_transfer is not None:
                     on_transfer(time.perf_counter() - started)
@@ -239,7 +233,7 @@ def build_group_layout(
         return None
     unique_groups = ordered[starts]
     instance = perm % length
-    pad_index = real = None
+    real = None
     if padded == total:
         perm_mod = instance.astype(np.int32)
     else:
@@ -250,7 +244,6 @@ def build_group_layout(
         perm_mod[slot] = instance
         real = np.zeros(padded, dtype=bool)
         real[slot] = True
-        pad_index = np.flatnonzero(~real)
     dense = np.repeat(np.arange(group_count, dtype=np.int32), block)
 
     group_pe = unique_groups // footprint
@@ -285,7 +278,6 @@ def build_group_layout(
         block=block,
         pairs=total,
         references=len(distinct),
-        pad_index=pad_index,
         real=real,
         slot_valid=slot_valid,
         slot_delta=slot_delta,
@@ -370,10 +362,10 @@ def fused_group_volume_metrics(
     # Ranks per slot in group-major order.  The int32 rank copy is only exact
     # while the span fits; huge-span ops take the int64 path end to end.
     ranks = xp.take(rank_narrow if narrow else rank_wide, dev.perm)
-    if dev.pad_index is not None:
-        ranks[dev.pad_index] = span
-    ranks, keys = block_sorted_keys(ranks)
     live = dev.real
+    if live is not None:
+        ranks[~live] = span
+    ranks, keys = block_sorted_keys(ranks)
     total = layout.pairs
     if not (assume_unique and layout.references == 1):
         # Non-injective candidates and several references can repeat a
