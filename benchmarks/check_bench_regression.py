@@ -12,12 +12,10 @@ Two metrics are compared against the tolerance (default 20%):
   machine-class invariant.
 
 Two structural invariants are additionally asserted on the *current* file
-alone: when the zero-copy benchmark records ``parallel_speedup`` (the
-adaptive ``jobs=2`` path versus serial), a sweep slower than serial beyond
-the 5% timer-noise floor fails outright — the parallel path must never be a
-pessimisation again, whatever the runner class.  (The tuner guarantees this
-structurally by declining a pool the batch cannot amortise, so the ratio
-sits at parity or better; well under parity means the decision logic broke.)
+alone: when the zero-copy benchmark records ``parallel_speedup`` (a warm
+``jobs=2`` pool versus serial, the median of per-round ratios over
+interleaved rounds), a pool slower than serial beyond the 5% noise floor
+fails outright — the parallel path must never be a pessimisation again.
 And when the fleet benchmark records ``fleet_speedup`` (3 replicas versus 1
 with an injected per-lease delay), a ratio under 1.4 fails outright — the
 coordinator's lease dispatch must overlap across replicas, and the injected
@@ -103,7 +101,7 @@ def check_fleet_speedup(current_records: dict[str, dict]) -> bool:
 
 
 def check_parallel_speedup(current_records: dict[str, dict]) -> bool:
-    """The adaptive jobs=2 path must not be slower than serial (modulo timer
+    """A warm jobs=2 pool must not be slower than serial (modulo timer
     noise); returns True when sound."""
     record = current_records.get(PARALLEL_BENCHMARK)
     if record is None or "parallel_speedup" not in record:

@@ -27,7 +27,7 @@ from repro._version import __version__
 from repro.core.analyzer import analyze
 from repro.core.backends import BACKEND_NAMES
 from repro.core.engine import OBJECTIVES
-from repro.dataflows.catalog import all_entries, get_dataflow
+from repro.dataflows.catalog import all_entries, get_entry
 from repro.core.xp import namespace_probes, resolve_namespace
 from repro.errors import ExplorationError
 from repro.dse.explorer import DesignSpaceExplorer
@@ -60,7 +60,8 @@ from repro.sweep import (
     serve_lines,
 )
 from repro.sweep import faults as sweep_faults
-from repro.tensor.kernels import make_kernel
+from repro.tensor.kernels import KERNEL_EXTENTS, make_kernel
+from repro.tensor.operation import TensorOp
 
 EXPERIMENTS: dict[str, Callable[[], object]] = {
     "table1": table1_features.run,
@@ -78,6 +79,32 @@ EXPERIMENTS: dict[str, Callable[[], object]] = {
 }
 
 
+class UsageError(Exception):
+    """Bad command-line input, reported as one ``tenet <cmd>: error:`` line
+    on stderr with exit status 2 (the argparse convention)."""
+
+
+def _kernel_op(args: argparse.Namespace) -> TensorOp:
+    """Build ``--kernel`` at ``--sizes``, rejecting what the factories would
+    turn into a traceback or a sweep of invalid candidates."""
+    kind = args.kernel.lower()
+    extents = KERNEL_EXTENTS.get(kind)
+    if extents is None:
+        raise UsageError(
+            f"unknown --kernel {args.kernel!r}; available: {', '.join(sorted(KERNEL_EXTENTS))}"
+        )
+    if len(args.sizes) != len(extents):
+        raise UsageError(
+            f"--kernel {kind} takes {len(extents)} --sizes ({' '.join(extents)}), "
+            f"got {len(args.sizes)}"
+        )
+    if min(args.sizes) < 1:
+        raise UsageError(
+            f"--sizes must be positive loop extents, got {' '.join(map(str, args.sizes))}"
+        )
+    return make_kernel(kind, args.sizes)
+
+
 def _cmd_catalog(_: argparse.Namespace) -> int:
     for entry in all_entries():
         marker = "data-centric ok" if entry.data_centric_expressible else "TENET-only"
@@ -87,8 +114,12 @@ def _cmd_catalog(_: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    op = make_kernel(args.kernel, args.sizes)
-    dataflow = get_dataflow(args.kernel, args.dataflow)
+    op = _kernel_op(args)
+    try:
+        entry = get_entry(args.kernel, args.dataflow)
+    except KeyError as error:
+        raise UsageError(error.args[0]) from None
+    dataflow = entry.build()
     arch = make_arch(
         pe_dims=tuple(args.pe),
         interconnect=args.interconnect,
@@ -104,7 +135,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print("tenet explore: error: --pe takes exactly two extents (rows cols), "
               f"got {args.pe}")
         return 1
-    op = make_kernel(args.kernel, args.sizes)
+    op = _kernel_op(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     arch = make_arch(
         pe_dims=tuple(args.pe),
         interconnect=args.interconnect,
@@ -121,7 +154,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             backend=args.backend,
             device=args.device,
             batch_size=args.batch_size,
-            tune="auto" if args.tune else "off",
         )
     except ExplorationError as error:
         # Most commonly a capability error from --device: the message lists
@@ -147,10 +179,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         checkpoint_fsync=args.checkpoint_fsync if args.checkpoint_fsync > 0 else None,
     )
     print(result.summary(count=args.top))
-    if explorer.engine.tuner is not None:
-        # Lock in whatever was measured so --profile/--profile-json report
-        # final decisions, not a mid-calibration snapshot.
-        explorer.engine.tuner.finalize()
     stats = explorer.engine.stats
     cache_stats = explorer.engine.cache_stats()
     print(
@@ -186,16 +214,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         }
         if kernel_stats:
             print(f"  kernels: {kernel_stats}")
-        if explorer.engine.tuner is not None:
-            decisions = explorer.engine.tuner.decisions
-            print("  tuning decisions:")
-            for decision in decisions or ["(calibration incomplete)"]:
-                print(f"    - {decision}")
     if args.profile_json:
         engine = explorer.engine
-        tuner = engine.tuner
-        if tuner is not None:
-            tuner.finalize()
         payload = {
             "command": "explore",
             "kernel": args.kernel,
@@ -218,7 +238,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "batches": result.batches,
                 "seconds": round(result.seconds, 6),
             },
-            "tuning": tuner.profile_dict() if tuner is not None else None,
         }
         with open(args.profile_json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -269,7 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
             request_timeout=args.request_timeout,
-            tune="auto" if args.tune else "off",
             checkpoint_root=args.checkpoint_root,
             announce=announce,
         )
@@ -292,7 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
             request_timeout=args.request_timeout,
-            tune="auto" if args.tune else "off",
             checkpoint_root=args.checkpoint_root,
         )
     finally:
@@ -422,17 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--top", type=int, default=5,
                          help="how many best dataflows to print; also bounds the "
                               "in-memory ranking (the checkpoint keeps the full record)")
-    explore.add_argument("--tune", action=argparse.BooleanOptionalAction, default=False,
-                         help="measurement-driven auto-tuning: calibrate batch "
-                              "size/jobs on the sweep's first batch and order "
-                              "candidates best-first from checkpointed history; "
-                              "never changes which reports are produced, only "
-                              "evaluation order and speed (--no-tune pins the "
-                              "static defaults)")
     explore.add_argument("--profile-json", default=None, metavar="PATH",
-                         help="write per-stage timers, engine stats and tuner "
-                              "decisions as JSON to PATH (machine-readable "
-                              "--profile, diffable in CI)")
+                         help="write per-stage timers and engine stats as JSON "
+                              "to PATH (machine-readable --profile, diffable in CI)")
     explore.add_argument("--profile", action="store_true",
                          help="print the per-stage timing breakdown (materialise / "
                               "stamps / volumes / rank) after the sweep")
@@ -494,12 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="array namespace for every warm engine (see "
                             "'tenet explore --device')")
     serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument("--tune", action=argparse.BooleanOptionalAction, default=False,
-                       help="auto-tune warm engines: calibrate on each engine's "
-                            "first request, re-batch later requests from the "
-                            "measurements, and shed load when the measured "
-                            "request rate predicts hopeless queue waits; "
-                            "results are bit-identical either way")
     serve.add_argument("--checkpoint-root", default=None, metavar="DIR",
                        help="directory for server-side JSONL sweep checkpoints; "
                             "requests may then name a checkpoint (relative, "
@@ -554,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica is evicted")
     fleet.add_argument("--replica-args", nargs=argparse.REMAINDER, default=[],
                        help="remaining arguments are passed to each spawned "
-                            "'tenet serve' (e.g. -- --jobs 2 --tune)")
+                            "'tenet serve' (e.g. -- --jobs 2)")
     fleet.set_defaults(handler=_cmd_fleet)
 
     merge = subparsers.add_parser(
@@ -584,7 +587,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not getattr(args, "handler", None):
         parser.print_help()
         return 0
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UsageError as error:
+        print(f"tenet {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from repro.core.dataflow import Dataflow
 from repro.core.energy_model import compute_energy
 from repro.core.latency import compute_latency
 from repro.core.metrics import PerformanceReport
-from repro.core.shm import attach_relations, share_relations
 from repro.core.spacetime import SpacetimeMap
 from repro.core.utilization import UtilizationMetrics, compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
@@ -829,7 +828,6 @@ class EvaluationEngine:
         memoize: bool = True,
         backend: str = "auto",
         device: str = "numpy",
-        tune: str | dict | bool | None = "off",
     ):
         self.op = op
         self.arch = arch
@@ -853,9 +851,6 @@ class EvaluationEngine:
         self._has_links = bool((self._predecessor_table >= 0).any())
         self._pool: ProcessPoolExecutor | None = None
         self._pool_jobs = 0
-        #: Parent-owned shared-memory segment holding the cached relations for
-        #: ``jobs > 1`` workers (see :mod:`repro.core.shm`); ``close()`` owns it.
-        self._shared_relations = None
         self.device_name = str(device)
         #: The resolved array namespace every compiled kernel computes on.
         #: Resolution fails loudly (listing available namespaces) before any
@@ -903,40 +898,14 @@ class EvaluationEngine:
             # namespaces; stays 0.0 on the host namespace.
             "transfer": 0.0,
         }
-        #: Optional measurement-driven controller (:mod:`repro.core.tuning`):
-        #: ``"auto"`` calibrates batch size and jobs on the first batches,
-        #: a profile dict pins previously learned decisions, ``"off"`` keeps
-        #: every knob exactly as constructed.  Tuning never changes which
-        #: reports are produced — only evaluation order and speed.
-        self.tuner = None
-        if tune not in (None, False, "off"):
-            from repro.core.tuning import AutoTuner
-
-            if tune in (True, "auto"):
-                self.tuner = AutoTuner(self)
-            elif isinstance(tune, dict):
-                self.tuner = AutoTuner(self, profile=tune)
-            else:
-                raise ExplorationError(
-                    f"tune must be 'auto', 'off', or a tuning profile dict; "
-                    f"got {tune!r}"
-                )
 
     def close(self) -> None:
-        """Shut down the persistent worker pool and release shared memory.
-
-        Owns the lifecycle of the relations segment: the ``/dev/shm`` entry is
-        unlinked here (and, as a backstop, at interpreter exit), never by the
-        workers.  A later parallel batch transparently recreates both the pool
-        and the segment.
-        """
+        """Shut down the persistent worker pool (a later parallel batch
+        transparently rebuilds it)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
             self._pool_jobs = 0
-        if self._shared_relations is not None:
-            self._shared_relations.close()
-            self._shared_relations = None
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
         try:
@@ -1243,14 +1212,7 @@ class EvaluationEngine:
             )
         started = time.perf_counter()
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if self.tuner is not None and candidates:
-            # The tuner may force a serial batch, so the decision happens
-            # before dispatch.
-            jobs = self.tuner.effective_jobs(
-                jobs, len(candidates), pool_warm=self._pool is not None
-            )
-        parallel = jobs > 1 and len(candidates) > 1
-        if parallel:
+        if jobs > 1 and len(candidates) > 1:
             outcomes = self._evaluate_parallel(
                 candidates, jobs, objective=objective,
                 early_termination=early_termination, best_score=best_score,
@@ -1260,10 +1222,15 @@ class EvaluationEngine:
                 candidates, objective=objective,
                 early_termination=early_termination, best_score=best_score,
             )
-        seconds = time.perf_counter() - started
-        if self.tuner is not None and candidates:
-            self.tuner.observe_batch(outcomes, seconds, jobs=jobs if parallel else 1)
-        return BatchResult(outcomes=outcomes, seconds=seconds)
+        return BatchResult(outcomes=outcomes, seconds=time.perf_counter() - started)
+
+    def _cached_relations(self) -> OpRelations | None:
+        """The cached relations, or ``None`` when the op is uncacheable or
+        cannot be materialised (per-candidate evaluation reports the error)."""
+        try:
+            return self.materializer.relations(self.max_instances)
+        except ModelError:
+            return None
 
     def _prepare_batch_stamps(
         self, candidates: Sequence[Dataflow]
@@ -1274,10 +1241,7 @@ class EvaluationEngine:
         evaluates stamps that will actually be consumed.  Returns the provider
         (or ``None``) plus a map from batch index to provider slot.
         """
-        try:
-            relations = self.materializer.relations(self.max_instances)
-        except ModelError:
-            relations = None  # per-candidate evaluation reports the error
+        relations = self._cached_relations()
         if relations is None:
             return None, {}
         slots: dict[int, int] = {}
@@ -1393,30 +1357,6 @@ class EvaluationEngine:
                 self.stage_seconds[key] = self.stage_seconds.get(key, 0.0) + value
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _shared_descriptor(self):
-        """Share the cached relations for zero-copy worker mapping.
-
-        Built lazily (and rebuilt after ``close()``): the candidate-invariant
-        arrays travel through one ``/dev/shm`` segment instead of being
-        re-materialised privately by every worker.  ``None`` when the op is
-        uncacheable or shared memory is unavailable — workers then fall back
-        to materialising their own copy, exactly as before.
-        """
-        if self._shared_relations is not None and self._shared_relations.alive:
-            return self._shared_relations.descriptor
-        try:
-            relations = self.materializer.relations(self.max_instances)
-        except ModelError:
-            relations = None  # per-candidate evaluation reports the error
-        if relations is None:
-            return None
-        # None when shared memory is unavailable or /dev/shm cannot hold the
-        # arrays — workers then materialise privately, as before this seam.
-        self._shared_relations = share_relations(relations)
-        if self._shared_relations is None:
-            return None
-        return self._shared_relations.descriptor
-
     def _ensure_pool(self, jobs: int) -> ProcessPoolExecutor:
         """The persistent worker pool, (re)built when the job count changes
         or a worker crash broke the executor (a broken pool would otherwise
@@ -1435,10 +1375,15 @@ class EvaluationEngine:
                 "device": self.device_name,
                 "memoize": self.memoize,
             }
+            # The cached relations ride in the initializer arguments: under
+            # the ``fork`` start method workers inherit the parent's arrays
+            # copy-on-write, elsewhere they are pickled once per worker.
+            # ``None`` (an uncacheable op) makes each worker materialise its
+            # own copy.
             self._pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_sweep_worker_init,
-                initargs=(self.op, self.arch, payload_params, self._shared_descriptor()),
+                initargs=(self.op, self.arch, payload_params, self._cached_relations()),
             )
             self._pool_jobs = jobs
         return self._pool
@@ -1452,19 +1397,15 @@ _WORKER_SNAPSHOT: tuple[dict[str, int], dict[str, int], dict[str, float]] | None
 
 
 def _sweep_worker_init(
-    op: TensorOp, arch: ArchSpec, params: dict, shared=None
+    op: TensorOp, arch: ArchSpec, params: dict, relations: OpRelations | None
 ) -> None:
     global _WORKER_ENGINE, _WORKER_SNAPSHOT
     _WORKER_ENGINE = EvaluationEngine(op, arch, jobs=1, **params)
-    if shared is not None:
-        # Map the parent's relation arrays zero-copy instead of enumerating
-        # the iteration domain again; the first relations() call below then
-        # hits the worker cache.
-        relations = attach_relations(shared)
-        if relations is not None:
-            _WORKER_ENGINE.cache.put(
-                (relations.signature, relations.chunk_size), relations
-            )
+    if relations is not None:
+        # Reuse the parent's relation arrays instead of enumerating the
+        # iteration domain again; the first relations() call then hits the
+        # worker cache.
+        _WORKER_ENGINE.cache.put((relations.signature, relations.chunk_size), relations)
     _WORKER_SNAPSHOT = (
         dict(_WORKER_ENGINE.stats),
         dict(_WORKER_ENGINE.cache.stats()),

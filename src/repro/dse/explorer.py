@@ -46,7 +46,6 @@ class DesignSpaceExplorer:
         backend: str = "auto",
         device: str = "numpy",
         batch_size: int = 64,
-        tune: str | dict | bool | None = "off",
     ):
         self.op = op
         self.arch = arch
@@ -63,7 +62,6 @@ class DesignSpaceExplorer:
             cache=cache,
             backend=backend,
             device=device,
-            tune=tune,
         )
         # Unknown objective names raise here, not at sweep time.
         self.objective_name, self.objective, _ = resolve_objective(objective)

@@ -287,12 +287,9 @@ class SweepService:
         queue_depth: int = 64,
         request_timeout: float | None = None,
         fault_injector: FaultInjector | None = None,
-        tune: str | dict | bool | None = "off",
-        shed_after_seconds: float | None = None,
         checkpoint_root: str | None = None,
     ):
         self._faults = fault_injector
-        self.tune_enabled = tune not in (None, False, "off")
         if server is None:
             server = SweepServer(
                 jobs=jobs,
@@ -301,7 +298,6 @@ class SweepService:
                 batch_size=batch_size,
                 max_workers=max_workers,
                 fault_injector=fault_injector,
-                tune=tune,
                 checkpoint_root=checkpoint_root,
             )
             self._owns_server = True
@@ -326,19 +322,7 @@ class SweepService:
         self.responses_sent = 0
         #: Requests that tripped the per-request watchdog.
         self.requests_timed_out = 0
-        #: Measurement-driven load shedding: with a threshold set (defaults on
-        #: when tuning is on), a request whose *predicted* queue wait — queued
-        #: backlog times the measured per-request seconds, over the inflight
-        #: slots — exceeds it is refused immediately with ``"code":
-        #: "overloaded"`` instead of being accepted into a hopeless queue.
-        if shed_after_seconds is None and self.tune_enabled:
-            shed_after_seconds = 120.0
-        self.shed_after_seconds = (
-            float(shed_after_seconds) if shed_after_seconds is not None else None
-        )
-        self.requests_shed = 0
-        #: EWMA of end-to-end request seconds — the shedding signal the
-        #: service already pays to know (every request is timed anyway).
+        #: EWMA of end-to-end request seconds (every request is timed anyway).
         self._ewma_request_seconds = 0.0
         #: Requests arriving with ``"retry": true`` — client reconnect
         #: retries and pipeline recoveries, counted for observability.
@@ -436,7 +420,7 @@ class SweepService:
                     "served": server_stats["requests_served"],
                     "rejected": self.requests_rejected,
                     "failed": self.requests_failed,
-                    "shed": self.requests_shed,
+                    "ewma_request_seconds": round(self._ewma_request_seconds, 4),
                 },
                 "engine_reused_rate": server_stats["engine_reused_rate"],
                 "in_flight": self._inflight,
@@ -459,14 +443,6 @@ class SweepService:
                 "device": server_stats["device"],
                 "engine_devices": server_stats["engine_devices"],
                 "array_namespaces": server_stats["array_namespaces"],
-                # What the auto-tuner measured and decided, per warm engine,
-                # plus the measurement-driven shedding signal.
-                "tuning": {
-                    "enabled": self.tune_enabled,
-                    "shed_after_seconds": self.shed_after_seconds,
-                    "ewma_request_seconds": round(self._ewma_request_seconds, 4),
-                    "profiles": server_stats.get("tuning", []),
-                },
             }
         )
         return record
@@ -568,27 +544,6 @@ class SweepService:
             )
             self.requests_rejected += 1
             return
-        predicted_wait = self._predicted_wait_seconds()
-        if (
-            self.shed_after_seconds is not None
-            and predicted_wait > self.shed_after_seconds
-        ):
-            future.set_result(
-                error_record(
-                    request.kernel,
-                    ExplorationError(
-                        f"load shed: predicted queue wait {predicted_wait:.1f}s "
-                        f"exceeds {self.shed_after_seconds:.1f}s at the measured "
-                        f"{self._ewma_request_seconds:.2f}s/request; retry later "
-                        "or add capacity"
-                    ),
-                    code="overloaded",
-                    request_id=request_id,
-                )
-            )
-            self.requests_rejected += 1
-            self.requests_shed += 1
-            return
         conn.queue.append(_QueuedItem(request=request, request_id=request_id, future=future))
         if not conn.in_rr:
             conn.in_rr = True
@@ -659,15 +614,6 @@ class SweepService:
             self._execute_tasks.add(task)
             task.add_done_callback(self._execute_tasks.discard)
 
-    def _predicted_wait_seconds(self) -> float:
-        """Expected wait for a newly accepted request, from measured rates."""
-        if self._ewma_request_seconds <= 0.0:
-            return 0.0
-        backlog = self._inflight + sum(
-            len(conn.queue) for conn in self._connections.values()
-        )
-        return backlog * self._ewma_request_seconds / max(1, self.max_inflight)
-
     async def _execute(self, item: _QueuedItem) -> None:
         started = time.monotonic()
         try:
@@ -685,8 +631,8 @@ class SweepService:
         else:
             if item.request_id is not None:
                 record = {"id": item.request_id, **record}
-        # Timeouts and failures consume capacity too, so they feed the
-        # shedding EWMA exactly like successes.
+        # Timeouts and failures consume capacity too, so they feed the EWMA
+        # exactly like successes.
         elapsed = time.monotonic() - started
         self._ewma_request_seconds = (
             elapsed
@@ -798,7 +744,6 @@ def serve_lines(
     max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
-    tune: str | dict | bool | None = "off",
     checkpoint_root: str | None = None,
     emit: Callable[[str], None] | None = None,
 ) -> int:
@@ -822,7 +767,6 @@ def serve_lines(
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
-            tune=tune,
             checkpoint_root=checkpoint_root,
         )
         channel = IterableChannel(lines, emit)
@@ -846,7 +790,6 @@ def run_tcp_server(
     max_inflight: int | None = None,
     queue_depth: int = 64,
     request_timeout: float | None = None,
-    tune: str | dict | bool | None = "off",
     checkpoint_root: str | None = None,
     announce: Callable[[str, int], None] | None = None,
 ) -> int:
@@ -865,7 +808,6 @@ def run_tcp_server(
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             request_timeout=request_timeout,
-            tune=tune,
             checkpoint_root=checkpoint_root,
         )
         loop = asyncio.get_running_loop()

@@ -163,15 +163,11 @@ class SweepServer:
         cache: RelationCache | None = None,
         quarantine_cooldown: float = 30.0,
         fault_injector: FaultInjector | None = None,
-        tune: str | dict | bool | None = "off",
         checkpoint_root: str | Path | None = None,
     ):
         self.jobs = max(1, int(jobs))
         self.backend = backend
         self.device = str(device)
-        #: Threaded into every warm engine: tuned engines calibrate on their
-        #: first request and re-batch later requests from what they measured.
-        self.tune = tune
         # Fail at construction, not at the first request: an unavailable
         # namespace is a deployment error the operator should see immediately.
         resolve_namespace(self.device)
@@ -251,7 +247,6 @@ class SweepServer:
                             device=self.device,
                             cache=self.cache,
                             max_instances=self.max_instances,
-                            tune=self.tune,
                         )
                     )
                 except Exception as error:
@@ -310,14 +305,6 @@ class SweepServer:
                 {f"{w.engine.xp.name}:{w.engine.xp.device}" for w in engines}
             ),
             "array_namespaces": available_namespaces(),
-            # Learned profiles of every tuned warm engine (empty when the
-            # server runs untuned), so clients can see what the server
-            # measured and decided.
-            "tuning": [
-                w.engine.tuner.profile_dict()
-                for w in engines
-                if getattr(w.engine, "tuner", None) is not None
-            ],
         }
 
     # -- request servicing --------------------------------------------------------
@@ -413,16 +400,10 @@ class SweepServer:
             # hung request for the service watchdog.
             fault_hooks.apply("server.request", self._faults)
             warm.requests_served += 1
-            batch_size = self.batch_size
-            tuner = getattr(warm.engine, "tuner", None)
-            if tuner is not None and tuner.decided_batch_size:
-                # Re-batch from measurements: requests after the first on this
-                # warm engine inherit the batch size its calibration decided.
-                batch_size = tuner.decided_batch_size
             session = SweepSession(
                 warm.engine,
                 objective=objective,
-                batch_size=batch_size,
+                batch_size=self.batch_size,
                 early_termination=early_termination,
                 checkpoint=checkpoint_path,
                 resume=resume,

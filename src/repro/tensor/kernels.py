@@ -15,6 +15,7 @@ the reuse-accuracy discussion.  Every factory returns a
 
 from __future__ import annotations
 
+import inspect
 from typing import Mapping, Sequence
 
 from repro.isl.expr import AffExpr, var
@@ -174,6 +175,17 @@ _FACTORIES = {
     "mttkrp": mttkrp,
     "mmc": mmc,
     "jacobi2d": jacobi2d,
+}
+
+
+#: The loop-extent arguments (``--sizes``) of each kernel factory, in order.
+KERNEL_EXTENTS: dict[str, tuple[str, ...]] = {
+    kind: tuple(
+        parameter.name.removeprefix("size_")
+        for parameter in inspect.signature(factory).parameters.values()
+        if parameter.name.startswith("size_")
+    )
+    for kind, factory in _FACTORIES.items()
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.engine import (
+    MIN_TASK_CANDIDATES,
     EvaluationEngine,
     RelationCache,
     RelationMaterializer,
@@ -14,6 +15,7 @@ from repro.core.engine import (
     _utilization_dense,
     dataflow_signature,
     op_signature,
+    parallel_task_chunk,
 )
 from repro.core.utilization import compute_utilization
 from repro.errors import DataflowError, ExplorationError, ModelError
@@ -296,8 +298,8 @@ class TestBatchEvaluation:
             assert report_dict(a) == report_dict(b)
 
     def test_parallel_workers_map_relations_zero_copy(self):
-        # The pool initializer ships a shared-memory descriptor per worker and
-        # seeds each worker cache with the mapped relations, so no worker ever
+        # The pool initializer hands the parent's cached relations to every
+        # worker and seeds each worker cache with them, so no worker ever
         # re-materialises them (every relations() call is a hit).
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
@@ -572,3 +574,13 @@ class TestPersistentPool:
         assert engine._pool is not broken
         assert len(batch.reports) == 3
         engine.close()
+
+    def test_chunk_floor_amortises_small_batches(self):
+        # 40 candidates over jobs=2 used to make 10 tiny 5-candidate tasks;
+        # the floor makes 8-candidate tasks.
+        assert parallel_task_chunk(40, 2) == MIN_TASK_CANDIDATES
+        # Large batches keep the ~4-tasks-per-worker balance.
+        assert parallel_task_chunk(1000, 4) == 63
+        # The floor never idles a worker: small counts still split evenly.
+        assert parallel_task_chunk(10, 2) == 5
+        assert parallel_task_chunk(2, 2) == 1

@@ -163,6 +163,7 @@ class TestSweepClientRoundTrips:
         assert stats["cmd"] == "stats"
         assert stats["engines"] == 1
         assert stats["requests"]["served"] == 2
+        assert stats["requests"]["ewma_request_seconds"] > 0
         assert stats["engine_reused_rate"] == 0.5
         assert stats["connections"] >= 1
         assert stats["draining"] is False

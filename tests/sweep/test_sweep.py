@@ -444,6 +444,50 @@ class TestCheckpointFormat:
             load_ranking(headerless)
         assert ranking_key(load_ranking(good)) == ranking_key(result)
 
+    def test_resumes_checkpoint_with_legacy_profile_records(self, tmp_path, capsys):
+        # Earlier versions wrote a ``tuning`` key into the meta header and
+        # appended a ``{"kind": "tuning"}`` profile line.  Such checkpoints
+        # must still resume and merge: the extra records hold no candidate.
+        from repro.cli import main
+
+        op = make_op()
+        source = make_source(op, count=12)
+        plain = tmp_path / "plain.jsonl"
+        make_session(op, checkpoint=str(plain)).run(source)
+        header, *results = plain.read_text().splitlines()
+        profile = {
+            "version": 1, "op": json.loads(header)["op"],
+            "arch": json.loads(header)["arch"], "device": "numpy",
+            "batch_size": 16, "per_candidate_seconds": 0.001,
+            "ranker_coef": None, "calibrated": True,
+            "decisions": ["batch size: 16 (1.000 ms/candidate)"],
+        }
+        legacy = tmp_path / "legacy.jsonl"
+        kept = results[:5]
+        legacy.write_text("\n".join([
+            json.dumps({**json.loads(header), "tuning": profile}),
+            *kept,
+            json.dumps({"kind": "tuning", "profile": profile}),
+        ]) + "\n")
+
+        session = make_session(op, checkpoint=str(legacy), resume=True)
+        resumed = session.run(source)
+        assert resumed.skipped == len(kept)
+        assert session.engine.stats["evaluated"] == len(results) - len(kept)
+        signatures = [
+            json.loads(line).get("signature")
+            for line in legacy.read_text().splitlines()
+            if json.loads(line)["kind"] == "result"
+        ]
+        assert sorted(signatures) == sorted(
+            json.loads(line)["signature"] for line in results
+        )
+
+        assert main(["sweep-merge", str(plain)]) == 0
+        reference = capsys.readouterr().out
+        assert main(["sweep-merge", str(legacy)]) == 0
+        assert capsys.readouterr().out == reference
+
     def test_load_ranking_single_path(self, tmp_path):
         op = make_op()
         checkpoint = tmp_path / "sweep.jsonl"

@@ -77,6 +77,37 @@ class TestParser:
         assert f"invalid choice: '{name}'" in errors[0]
         assert "'auto', 'interp', 'fused'" in errors[0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["explore", "--kernel", "nope", "--sizes", "4", "4", "4"],
+         "unknown --kernel 'nope'"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "4"],
+         "takes 3 --sizes (i j k), got 2"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "0", "4"],
+         "--sizes must be positive"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "-4", "4"],
+         "--sizes must be positive"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "4", "4", "--jobs", "0"],
+         "--jobs must be at least 1, got 0"),
+        (["analyze", "--kernel", "nope", "--sizes", "4", "4", "4",
+          "--dataflow", "(IJ-P | J,IJK-T)"], "unknown --kernel 'nope'"),
+        (["analyze", "--kernel", "conv2d", "--sizes", "4", "4", "4",
+          "--dataflow", "(IJ-P | J,IJK-T)"], "takes 6 --sizes"),
+        (["analyze", "--kernel", "gemm", "--sizes", "4", "0", "4",
+          "--dataflow", "(IJ-P | J,IJK-T)"], "--sizes must be positive"),
+        (["analyze", "--kernel", "gemm", "--sizes", "4", "4", "4",
+          "--dataflow", "nope"], "no dataflow 'nope' for kernel 'gemm'"),
+    ], ids=["explore-kernel", "explore-arity", "explore-zero", "explore-negative",
+            "explore-jobs", "analyze-kernel", "analyze-arity", "analyze-zero",
+            "analyze-dataflow"])
+    def test_bad_input_is_one_line_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"tenet {argv[0]}: error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_explore_unavailable_device_is_clear_capability_error(self, capsys):
         import repro.core.xp as xpmod
 
