@@ -1,8 +1,16 @@
 """Tests for the shared evaluation engine (repro.core.engine)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core import Dataflow
 from repro.core.analyzer import TenetAnalyzer
 from repro.core.engine import (
@@ -267,7 +275,7 @@ class TestBatchEvaluation:
         for a, b in zip(serial.reports, parallel.reports):
             assert report_dict(a) == report_dict(b)
 
-    @pytest.mark.parametrize("backend", ["interp", "auto"])
+    @pytest.mark.parametrize("backend", ["interp", "auto", "fused"])
     def test_parallel_matches_serial_per_backend(self, backend):
         op = gemm(12, 12, 12)
         arch = make_arch(pe_dims=(4, 4))
@@ -584,3 +592,155 @@ class TestPersistentPool:
         # The floor never idles a worker: small counts still split evenly.
         assert parallel_task_chunk(10, 2) == 5
         assert parallel_task_chunk(2, 2) == 1
+
+    def test_close_is_idempotent(self):
+        op = gemm(12, 12, 12)
+        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), jobs=2,
+                                  cache=RelationCache())
+        candidates = small_candidates(op, count=4)
+        engine.evaluate_batch(candidates)
+        engine.close()
+        engine.close()
+        assert engine._pool is None
+        # A later parallel batch transparently builds a fresh pool.
+        assert len(engine.evaluate_batch(candidates).reports) == len(candidates)
+        assert engine._pool is not None
+        engine.close()
+
+    def test_crashed_worker_pool_is_rebuilt_with_relations(self):
+        # Kill a real worker process.  Depending on when the executor notices,
+        # the next batch either raises BrokenProcessPool (the engine drops the
+        # pool) or already runs on a rebuilt one.  Either way the rebuilt
+        # workers get the parent's relations again and report identically.
+        op = gemm(12, 12, 12)
+        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), jobs=2,
+                                  cache=RelationCache())
+        candidates = small_candidates(op, count=8)
+        try:
+            reference = engine.evaluate_batch(candidates)
+            first = engine._pool
+            first.submit(os._exit, 1)
+            deadline = time.time() + 10
+            while not getattr(first, "_broken", False) and time.time() < deadline:
+                time.sleep(0.01)
+            try:
+                engine.evaluate_batch(candidates)
+            except BrokenProcessPool:
+                assert engine._pool is None
+            rebuilt = engine.evaluate_batch(candidates)
+            assert engine._pool is not first
+            assert engine.stats["worker_cache_misses"] == 0
+            assert len(rebuilt.reports) == len(reference.reports)
+            for a, b in zip(reference.reports, rebuilt.reports):
+                assert report_dict(a) == report_dict(b)
+        finally:
+            engine.close()
+
+    def test_interpreter_exit_without_close_is_clean(self):
+        """A parallel sweep that never calls close() still exits cleanly."""
+        script = textwrap.dedent(
+            """
+            from repro.core.engine import EvaluationEngine, RelationCache
+            from repro.dse.pruning import pruned_candidates
+            from repro.experiments.common import make_arch
+            from repro.tensor.kernels import gemm
+
+            op = gemm(12, 12, 12)
+            engine = EvaluationEngine(
+                op, make_arch(pe_dims=(4, 4)), jobs=2, cache=RelationCache()
+            )
+            candidates = list(pruned_candidates(op, pe_dims=(4, 4), max_candidates=6))
+            batch = engine.evaluate_batch(candidates)
+            print(len(batch.reports), engine.stats["worker_cache_misses"])
+            """
+        )
+        env = dict(os.environ)
+        root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(root) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["6", "0"]
+        assert "Traceback" not in result.stderr, result.stderr
+
+
+class TestWorkerRelationHandoff:
+    """The pool initializer hands the parent's relations to each worker."""
+
+    @pytest.fixture
+    def worker_globals(self, monkeypatch):
+        # _sweep_worker_init sets module globals meant for a worker process;
+        # monkeypatch restores them after the in-process call.
+        monkeypatch.setattr(engine_module, "_WORKER_ENGINE", None)
+        monkeypatch.setattr(engine_module, "_WORKER_SNAPSHOT", None)
+        return engine_module
+
+    def test_pool_initializer_receives_parent_relations(self):
+        op = gemm(12, 12, 12)
+        engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), jobs=2,
+                                  cache=RelationCache())
+        try:
+            pool = engine._ensure_pool(2)
+            relations = pool._initargs[3]
+            assert relations is not None
+            assert relations is engine.materializer.relations(engine.max_instances)
+        finally:
+            engine.close()
+
+    def test_uncacheable_op_hands_workers_nothing(self):
+        # Workers of an op the parent cannot cache build their own relations
+        # once each and still report exactly like the serial engine.
+        op = gemm(12, 12, 12)
+        arch = make_arch(pe_dims=(4, 4))
+        candidates = small_candidates(op, count=8)
+        engine = EvaluationEngine(op, arch, jobs=2,
+                                  cache=RelationCache(max_instances=100))
+        try:
+            assert engine._ensure_pool(2)._initargs[3] is None
+            parallel = engine.evaluate_batch(candidates)
+            assert 1 <= engine.stats["worker_cache_misses"] <= 2
+        finally:
+            engine.close()
+        serial = EvaluationEngine(op, arch, cache=RelationCache()).evaluate_batch(candidates)
+        assert len(parallel.reports) == len(serial.reports)
+        for a, b in zip(serial.reports, parallel.reports):
+            assert report_dict(a) == report_dict(b)
+
+    def test_worker_init_seeds_worker_cache(self, worker_globals):
+        op = gemm(12, 12, 12)
+        arch = make_arch(pe_dims=(4, 4))
+        parent = EvaluationEngine(op, arch, cache=RelationCache())
+        relations = parent.materializer.relations(parent.max_instances)
+        worker_globals._sweep_worker_init(
+            op, arch, {"chunk_size": parent.chunk_size}, relations
+        )
+        worker = worker_globals._WORKER_ENGINE
+        assert worker.materializer.relations(worker.max_instances) is relations
+        assert worker.cache.stats()["misses"] == 0
+        assert worker.cache.stats()["hits"] == 1
+
+    def test_worker_init_without_relations_builds_identical_ones(self, worker_globals):
+        op = gemm(12, 12, 12)
+        arch = make_arch(pe_dims=(4, 4))
+        parent = EvaluationEngine(op, arch, cache=RelationCache())
+        relations = parent.materializer.relations(parent.max_instances)
+        worker_globals._sweep_worker_init(
+            op, arch, {"chunk_size": parent.chunk_size}, None
+        )
+        worker = worker_globals._WORKER_ENGINE
+        built = worker.materializer.relations(worker.max_instances)
+        assert worker.cache.stats()["misses"] == 1
+        assert built is not relations
+        assert built.signature == relations.signature
+        assert built.total == relations.total
+        assert built.inclusive_bounds == relations.inclusive_bounds
+        for dim, column in relations.domain.items():
+            np.testing.assert_array_equal(built.domain[dim], column)
+        for tensor, rel in relations.tensors.items():
+            other = built.tensors[tensor]
+            assert other.extent == rel.extent
+            np.testing.assert_array_equal(other.dense_keys, rel.dense_keys)
+        # The second call is a hit on the worker's own cache.
+        assert worker.materializer.relations(worker.max_instances) is built

@@ -373,6 +373,79 @@ class TestSweepSession:
         assert "objective = latency" in result.summary()
 
 
+def run_parallel(op, jobs=2, backend="auto", source=None, **kwargs):
+    """Run a sweep on an engine with ``jobs`` workers and close its pool."""
+    engine = EvaluationEngine(
+        op, make_arch(pe_dims=(4, 4)), jobs=jobs, backend=backend,
+        cache=RelationCache(),
+    )
+    try:
+        result = SweepSession(engine, **kwargs).run(source or make_source(op))
+    finally:
+        engine.close()
+    return engine, result
+
+
+class TestParallelSweep:
+    """The process pool changes how fast a sweep runs, never its outcome."""
+
+    @pytest.mark.parametrize("backend", ["auto", "interp", "fused"])
+    def test_parallel_ranking_matches_serial(self, backend):
+        op = make_op()
+        _, serial = run_parallel(op, jobs=1, backend=backend, batch_size=8)
+        engine, parallel = run_parallel(op, jobs=2, backend=backend, batch_size=8)
+        assert ranking_key(parallel) == ranking_key(serial)
+        assert engine.backend_name == ("fused" if backend == "auto" else backend)
+        assert engine.stats["worker_cache_misses"] == 0
+
+    def test_rendered_rankings_byte_identical_across_jobs(self, tmp_path):
+        op = make_op()
+        for jobs in (1, 2):
+            run_parallel(op, jobs=jobs, batch_size=8,
+                         checkpoint=str(tmp_path / f"jobs{jobs}.jsonl"))
+        serial = render_ranking(load_ranking(tmp_path / "jobs1.jsonl"))
+        parallel = render_ranking(load_ranking(tmp_path / "jobs2.jsonl"))
+        assert serial == parallel
+
+    def test_early_termination_best_is_identical_across_jobs(self):
+        op = make_op()
+        _, serial = run_parallel(op, jobs=1, batch_size=8, early_termination=True)
+        _, parallel = run_parallel(op, jobs=2, batch_size=8, early_termination=True)
+        # Workers prune against the best score known when their task began,
+        # so the pruned set may differ, but the best candidate is never pruned.
+        assert ranking_key(parallel)[0] == ranking_key(serial)[0]
+
+    def test_sharded_parallel_sweeps_merge_to_serial_ranking(self, tmp_path):
+        op = make_op()
+        _, full = run_parallel(op, jobs=1, batch_size=8)
+        paths = []
+        for index in range(2):
+            path = str(tmp_path / f"shard{index}.jsonl")
+            _, result = run_parallel(op, jobs=2, batch_size=8, checkpoint=path,
+                                     source=make_source(op).shard(index, 2))
+            assert result.evaluated_count > 0
+            paths.append(path)
+        assert ranking_key(load_ranking(paths)) == ranking_key(full)
+
+    def test_parallel_resume_is_complete_and_duplicate_free(self, tmp_path):
+        op = make_op()
+        _, full = run_parallel(op, jobs=1, batch_size=8)
+        path = tmp_path / "resume.jsonl"
+        # A serial run killed after 7 candidates, resumed on the pool.
+        run_parallel(op, jobs=1, batch_size=8, checkpoint=str(path),
+                     source=make_source(op).limit(7))
+        _, resumed = run_parallel(op, jobs=2, batch_size=8,
+                                  checkpoint=str(path), resume=True)
+        assert resumed.skipped == 7
+        assert ranking_key(resumed) == ranking_key(full)
+        signatures = [
+            json.loads(line)["signature"]
+            for line in path.read_text().splitlines()
+            if json.loads(line)["kind"] == "result"
+        ]
+        assert len(signatures) == len(set(signatures)) == len(full.evaluated)
+
+
 class TestCheckpointFormat:
     def test_checkpoint_is_jsonl_with_meta_header(self, tmp_path):
         op = make_op()
@@ -487,6 +560,34 @@ class TestCheckpointFormat:
         reference = capsys.readouterr().out
         assert main(["sweep-merge", str(legacy)]) == 0
         assert capsys.readouterr().out == reference
+
+    @pytest.mark.parametrize("profile", [
+        {"version": 99},
+        {"version": 1, "op": "gemm(8,8,24)", "arch": "foreign"},
+        {"version": 1, "backend": "affine", "requested_backend": "auto"},
+        {"version": 1, "backend": "bitset", "requested_backend": "auto"},
+        {"version": 1, "backend": "fused", "requested_backend": "auto"},
+    ], ids=["newer-version", "foreign-op", "backend-affine", "backend-bitset",
+            "backend-fused"])
+    def test_legacy_profile_contents_never_block_resume(self, tmp_path, profile):
+        # Profiles that the removed tuner refused or special-cased are now
+        # plain extra records: resume and merge ignore what they hold.
+        op = make_op()
+        source = make_source(op, count=8)
+        plain = tmp_path / "plain.jsonl"
+        full = make_session(op, checkpoint=str(plain)).run(source)
+        header, *results = plain.read_text().splitlines()
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text("\n".join([
+            json.dumps({**json.loads(header), "tuning": profile}),
+            *results,
+            json.dumps({"kind": "tuning", "profile": profile}),
+        ]) + "\n")
+        session = make_session(op, checkpoint=str(legacy), resume=True)
+        resumed = session.run(source)
+        assert resumed.skipped == len(results)
+        assert session.engine.stats["evaluated"] == 0
+        assert ranking_key(load_ranking(legacy)) == ranking_key(full)
 
     def test_load_ranking_single_path(self, tmp_path):
         op = make_op()

@@ -77,6 +77,38 @@ class TestParser:
         assert f"invalid choice: '{name}'" in errors[0]
         assert "'auto', 'interp', 'fused'" in errors[0]
 
+    @pytest.mark.parametrize("flag", ["--tune", "--no-tune"])
+    @pytest.mark.parametrize("command", [
+        ["explore", "--kernel", "gemm", "--sizes", "12", "12", "12"],
+        ["serve", "--listen", "127.0.0.1:0"],
+    ], ids=["explore", "serve"])
+    def test_removed_tune_flag_is_one_line_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + [flag])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"unrecognized arguments: {flag}" in errors[0]
+
+    def test_explore_profile_json_reports_the_pool(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "profile.json"
+        code = main([
+            "explore", "--kernel", "gemm", "--sizes", "12", "12", "12",
+            "--max-candidates", "8", "--jobs", "2", "--profile-json", str(path),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        assert "tuning" not in payload
+        assert payload["jobs"] == 2
+        assert payload["sweep"]["evaluated"] == 8
+        assert payload["relation_cache"]["worker_misses"] == 0
+        assert payload["relation_cache"]["worker_hits"] >= 8
+
     @pytest.mark.parametrize("argv, message", [
         (["explore", "--kernel", "nope", "--sizes", "4", "4", "4"],
          "unknown --kernel 'nope'"),
