@@ -30,6 +30,7 @@ from repro.core.engine import OBJECTIVES
 from repro.dataflows.catalog import all_entries, get_entry
 from repro.core.xp import namespace_probes, resolve_namespace
 from repro.errors import ExplorationError
+from repro.isl import count_points
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pruning import pruned_candidates
 from repro.experiments import (
@@ -98,11 +99,20 @@ def _kernel_op(args: argparse.Namespace) -> TensorOp:
             f"--kernel {kind} takes {len(extents)} --sizes ({' '.join(extents)}), "
             f"got {len(args.sizes)}"
         )
+    sizes = " ".join(map(str, args.sizes))
     if min(args.sizes) < 1:
+        raise UsageError(f"--sizes must be positive loop extents, got {sizes}")
+    op = make_kernel(kind, args.sizes)
+    if count_points(op.domain) == 0:
+        raise UsageError(f"--kernel {kind} has no iterations at --sizes {sizes}")
+    return op
+
+
+def _check_pe(args: argparse.Namespace) -> None:
+    if len(args.pe) != 2:
         raise UsageError(
-            f"--sizes must be positive loop extents, got {' '.join(map(str, args.sizes))}"
+            f"--pe takes exactly two extents (rows cols), got {' '.join(map(str, args.pe))}"
         )
-    return make_kernel(kind, args.sizes)
 
 
 def _cmd_catalog(_: argparse.Namespace) -> int:
@@ -131,10 +141,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    if len(args.pe) != 2:
-        print("tenet explore: error: --pe takes exactly two extents (rows cols), "
-              f"got {args.pe}")
-        return 1
+    _check_pe(args)
     op = _kernel_op(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -329,10 +336,7 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    if len(args.pe) != 2:
-        print("tenet fleet: error: --pe takes exactly two extents (rows cols), "
-              f"got {args.pe}", file=sys.stderr)
-        return 1
+    _check_pe(args)
     request = {
         "kernel": args.kernel,
         "sizes": list(args.sizes),

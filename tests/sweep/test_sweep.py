@@ -531,6 +531,7 @@ class TestCheckpointFormat:
         profile = {
             "version": 1, "op": json.loads(header)["op"],
             "arch": json.loads(header)["arch"], "device": "numpy",
+            "backend": "affine", "requested_backend": "auto",
             "batch_size": 16, "per_candidate_seconds": 0.001,
             "ranker_coef": None, "calibrated": True,
             "decisions": ["batch size: 16 (1.000 ms/candidate)"],
@@ -560,34 +561,6 @@ class TestCheckpointFormat:
         reference = capsys.readouterr().out
         assert main(["sweep-merge", str(legacy)]) == 0
         assert capsys.readouterr().out == reference
-
-    @pytest.mark.parametrize("profile", [
-        {"version": 99},
-        {"version": 1, "op": "gemm(8,8,24)", "arch": "foreign"},
-        {"version": 1, "backend": "affine", "requested_backend": "auto"},
-        {"version": 1, "backend": "bitset", "requested_backend": "auto"},
-        {"version": 1, "backend": "fused", "requested_backend": "auto"},
-    ], ids=["newer-version", "foreign-op", "backend-affine", "backend-bitset",
-            "backend-fused"])
-    def test_legacy_profile_contents_never_block_resume(self, tmp_path, profile):
-        # Profiles that the removed tuner refused or special-cased are now
-        # plain extra records: resume and merge ignore what they hold.
-        op = make_op()
-        source = make_source(op, count=8)
-        plain = tmp_path / "plain.jsonl"
-        full = make_session(op, checkpoint=str(plain)).run(source)
-        header, *results = plain.read_text().splitlines()
-        legacy = tmp_path / "legacy.jsonl"
-        legacy.write_text("\n".join([
-            json.dumps({**json.loads(header), "tuning": profile}),
-            *results,
-            json.dumps({"kind": "tuning", "profile": profile}),
-        ]) + "\n")
-        session = make_session(op, checkpoint=str(legacy), resume=True)
-        resumed = session.run(source)
-        assert resumed.skipped == len(results)
-        assert session.engine.stats["evaluated"] == 0
-        assert ranking_key(load_ranking(legacy)) == ranking_key(full)
 
     def test_load_ranking_single_path(self, tmp_path):
         op = make_op()

@@ -118,18 +118,28 @@ class TestParser:
          "--sizes must be positive"),
         (["explore", "--kernel", "gemm", "--sizes", "4", "-4", "4"],
          "--sizes must be positive"),
+        (["explore", "--kernel", "jacobi2d", "--sizes", "2", "8"],
+         "--kernel jacobi2d has no iterations at --sizes 2 8"),
         (["explore", "--kernel", "gemm", "--sizes", "4", "4", "4", "--jobs", "0"],
          "--jobs must be at least 1, got 0"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "4", "4", "--pe", "8"],
+         "--pe takes exactly two extents (rows cols), got 8"),
+        (["fleet", "--kernel", "gemm", "--sizes", "4", "4", "4", "--pe", "8", "8", "8",
+          "--checkpoint-dir", "unused"],
+         "--pe takes exactly two extents (rows cols), got 8 8 8"),
         (["analyze", "--kernel", "nope", "--sizes", "4", "4", "4",
           "--dataflow", "(IJ-P | J,IJK-T)"], "unknown --kernel 'nope'"),
         (["analyze", "--kernel", "conv2d", "--sizes", "4", "4", "4",
           "--dataflow", "(IJ-P | J,IJK-T)"], "takes 6 --sizes"),
         (["analyze", "--kernel", "gemm", "--sizes", "4", "0", "4",
           "--dataflow", "(IJ-P | J,IJK-T)"], "--sizes must be positive"),
+        (["analyze", "--kernel", "jacobi2d", "--sizes", "8", "1",
+          "--dataflow", "(IJ-P | J,IJK-T)"], "--kernel jacobi2d has no iterations"),
         (["analyze", "--kernel", "gemm", "--sizes", "4", "4", "4",
           "--dataflow", "nope"], "no dataflow 'nope' for kernel 'gemm'"),
     ], ids=["explore-kernel", "explore-arity", "explore-zero", "explore-negative",
-            "explore-jobs", "analyze-kernel", "analyze-arity", "analyze-zero",
+            "explore-empty-domain", "explore-jobs", "explore-pe", "fleet-pe",
+            "analyze-kernel", "analyze-arity", "analyze-zero", "analyze-empty-domain",
             "analyze-dataflow"])
     def test_bad_input_is_one_line_error(self, argv, message, capsys):
         assert main(argv) == 2
