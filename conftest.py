@@ -2,17 +2,18 @@
 
 ``--bench-json PATH`` makes the session write every record collected through
 the :func:`bench_record` fixture (timings, speedups, engine stats from the
-benchmarks) to ``PATH`` as JSON.  The option now *defaults to the repo root*
-(``BENCH_engine.json``) so CI and local benchmark runs both land in the
-committed trajectory file without extra flags; sessions that collect no
-records (the fast test lane) leave the file untouched.
+benchmarks) to ``PATH`` as JSON.  The option defaults to the gitignored
+``.bench_build/BENCH_engine.json``, so a plain test run never rewrites the
+committed ``BENCH_engine.json`` baseline; sessions that collect no records
+(the fast test lane) write nothing.
 
 Existing entries are **merged, not overwritten**: records replace same-named
 benchmarks and every other benchmark's last measurement survives, so the file
 accumulates the cross-PR perf trajectory even when only a subset of
-benchmarks runs.  CI uploads the file as an artifact; locally::
+benchmarks runs.  To refresh the committed trajectory (as the CI benchmark
+lane does before uploading it as an artifact)::
 
-    PYTHONPATH=src python -m pytest -m slow benchmarks
+    PYTHONPATH=src python -m pytest -m slow benchmarks --bench-json BENCH_engine.json
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import pytest
 
 BENCH_RECORDS_KEY = pytest.StashKey()
 
-#: Committed benchmark trajectory, next to this conftest.
-DEFAULT_BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_engine.json"
+#: Untracked default output; the committed trajectory is written only when
+#: ``--bench-json BENCH_engine.json`` asks for it.
+DEFAULT_BENCH_JSON = pathlib.Path(__file__).parent / ".bench_build" / "BENCH_engine.json"
 
 
 def pytest_addoption(parser):
@@ -36,8 +38,8 @@ def pytest_addoption(parser):
         default=str(DEFAULT_BENCH_JSON),
         metavar="PATH",
         help="write benchmark timing records to PATH as JSON "
-             "(default: BENCH_engine.json at the repo root; existing entries "
-             "are merged by benchmark name, not overwritten)",
+             "(default: .bench_build/BENCH_engine.json at the repo root; "
+             "existing entries are merged by benchmark name, not overwritten)",
     )
 
 
@@ -91,4 +93,5 @@ def pytest_sessionfinish(session, exitstatus):
         except (json.JSONDecodeError, OSError):
             existing = {}
     payload = merge_bench_records(existing, records)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -30,7 +30,6 @@ from repro.core.engine import OBJECTIVES
 from repro.dataflows.catalog import all_entries, get_entry
 from repro.core.xp import namespace_probes, resolve_namespace
 from repro.errors import ExplorationError
-from repro.isl import count_points
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pruning import pruned_candidates
 from repro.experiments import (
@@ -61,7 +60,7 @@ from repro.sweep import (
     serve_lines,
 )
 from repro.sweep import faults as sweep_faults
-from repro.tensor.kernels import KERNEL_EXTENTS, make_kernel
+from repro.tensor.kernels import KernelSpecError, checked_kernel
 from repro.tensor.operation import TensorOp
 
 EXPERIMENTS: dict[str, Callable[[], object]] = {
@@ -86,33 +85,12 @@ class UsageError(Exception):
 
 
 def _kernel_op(args: argparse.Namespace) -> TensorOp:
-    """Build ``--kernel`` at ``--sizes``, rejecting what the factories would
-    turn into a traceback or a sweep of invalid candidates."""
-    kind = args.kernel.lower()
-    extents = KERNEL_EXTENTS.get(kind)
-    if extents is None:
-        raise UsageError(
-            f"unknown --kernel {args.kernel!r}; available: {', '.join(sorted(KERNEL_EXTENTS))}"
-        )
-    if len(args.sizes) != len(extents):
-        raise UsageError(
-            f"--kernel {kind} takes {len(extents)} --sizes ({' '.join(extents)}), "
-            f"got {len(args.sizes)}"
-        )
-    sizes = " ".join(map(str, args.sizes))
-    if min(args.sizes) < 1:
-        raise UsageError(f"--sizes must be positive loop extents, got {sizes}")
-    op = make_kernel(kind, args.sizes)
-    if count_points(op.domain) == 0:
-        raise UsageError(f"--kernel {kind} has no iterations at --sizes {sizes}")
-    return op
-
-
-def _check_pe(args: argparse.Namespace) -> None:
-    if len(args.pe) != 2:
-        raise UsageError(
-            f"--pe takes exactly two extents (rows cols), got {' '.join(map(str, args.pe))}"
-        )
+    """Build ``--kernel`` at ``--sizes`` for a ``--pe`` array, or raise the
+    shared request check's complaint as a :class:`UsageError`."""
+    try:
+        return checked_kernel(args.kernel, args.sizes, args.pe, prefix="--")
+    except KernelSpecError as error:
+        raise UsageError(str(error)) from None
 
 
 def _cmd_catalog(_: argparse.Namespace) -> int:
@@ -141,7 +119,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    _check_pe(args)
     op = _kernel_op(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -215,7 +192,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print(f"  {name:12s} {seconds:8.3f}s  {100 * seconds / total:5.1f}%")
         kernel_stats = {
             key: stats[key]
-            for key in ("fused_path", "reference_path",
+            for key in ("fused_path", "reference_path", "layout_builds",
                         "spacetime_hits", "stamp_fallback_exprs")
             if stats.get(key)
         }
@@ -336,7 +313,7 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    _check_pe(args)
+    _kernel_op(args)
     request = {
         "kernel": args.kernel,
         "sizes": list(args.sizes),

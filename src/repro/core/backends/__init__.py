@@ -10,11 +10,12 @@ computed:
 ``fused``
     The compiled backend (:mod:`repro.core.backends.fused`): the whole batch's
     deduplicated stamp coefficient rows stack into one matmul per cached
-    domain chunk, every tensor's volumes are counted by one kernel —
-    segmented sorts over (PE, element) blocks padded to a uniform width, and
-    shifted-slice membership windows — and candidates whose (PE, time-rank)
-    columns are *content-identical* to an already evaluated candidate replay
-    its report (verified by exact array comparison).
+    domain chunk, every tensor's volumes are counted by one kernel — one
+    global sort of group-major keys over (PE, element) groups padded to a
+    uniform width, and shifted-slice membership windows — and candidates
+    whose (PE, time-rank) columns are *content-identical* to an already
+    evaluated candidate replay its report (verified by exact array
+    comparison).
 
 ``auto`` is the default and resolves to ``fused`` at engine construction, so
 ``engine.backend_name`` always names the backend that actually runs.

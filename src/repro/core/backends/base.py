@@ -6,7 +6,8 @@ A backend decides *how* the per-candidate hot path of a sweep is computed:
   relation chunks (interpreted expression trees candidate by candidate vs
   compiled coefficient matrices stacked per batch), and
 * which exact membership kernel counts the Table II volumes (the group-major
-  sort/adjacency kernel vs the fused padded-block kernel).
+  sort/adjacency kernel vs the fused kernel, which sorts group-major keys
+  over (PE, element) groups padded to one width).
 
 Every backend is *exact*: reports are bit-identical across backends, so the
 choice is purely a performance decision.  Backends that cannot handle a case

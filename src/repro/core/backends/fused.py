@@ -8,17 +8,19 @@ Three sources of redundancy in a sweep batch are removed here:
   of *every* candidate in the batch stack into one coefficient matrix, and the
   whole cached domain chunk is evaluated with a single float64-exact BLAS
   matmul.  Per-candidate stamp columns are row views of the fused result.
-* **One windowed volume kernel** — every tensor's (PE, element) groups are
-  laid out as uniform blocks (boundary-truncated groups are padded to the
-  widest block with a sentinel rank), so the group-major sort degenerates to
-  one segmented sort of the ``(groups, m)`` rank matrix, and spatial
-  membership for constant-offset interconnect slots becomes ``2m - 1``
-  shifted *slice* comparisons — no ``searchsorted``, no per-pair gathers.
-  Slots that share a source offset share one membership pass.  Repeated
-  (group, rank) pairs of non-injective candidates and multi-reference tensors
-  become pads too, so they count once.  Temporal intervals beyond the
-  kernel's window take the engine's reference kernel, so counts stay
-  bit-identical.
+* **One windowed volume kernel** — every tensor's (PE, element) groups get
+  dense ids without a sort (a presence bitmap and a lookup table), and
+  boundary-truncated groups get pad entries up to the widest group, so every
+  group owns ``m`` keys.  Per candidate the keys ``group * stride + rank``
+  are formed without a gather and sorted once; the result is the uniform
+  ``(groups, m)`` matrix of each group's sorted ranks.  Spatial membership
+  for constant-offset interconnect slots is then ``2m - 1`` shifted *slice*
+  comparisons — no ``searchsorted``, no per-pair gathers — and slots that
+  share a source offset share one membership pass.  Interconnect metadata is
+  per group, broadcast over the group's ``m`` slots.  Repeated (group, rank)
+  pairs of non-injective candidates and multi-reference tensors become pads
+  too, so they count once.  Temporal intervals beyond the kernel's window
+  take the engine's reference kernel, so counts stay bit-identical.
 * **Spacetime memoisation** — structurally distinct candidates frequently
   assign *identical* (PE, time-rank) columns (skewed variants of one family
   often collapse onto the same rank order).  The engine memo cannot see that
@@ -50,6 +52,7 @@ from repro.core.dataflow import Dataflow
 from repro.core.volumes import VolumeMetrics
 from repro.core.xp import ArrayNamespace, NumpyNamespace
 from repro.errors import DataflowError
+from repro.isl.enumeration import dense_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import OpRelations, TensorRelations
@@ -108,16 +111,23 @@ class _DeviceLayout:
     rank column.
     """
 
-    #: Gather index over the rank column (int64 on device namespaces, whose
-    #: indexing requires it; the original int32 ``perm_mod`` on the host).
-    perm: Any
-    #: Dense group id per slot (int32).
-    dense: Any
-    #: Per-slot validity masks (bool) and dense-group offsets (int32).
+    #: Group id of each pair, pad group ids appended (int32).
+    group_of: Any
+    #: Per-group validity masks (bool) and source-group offsets (int32).
     slot_valid: list[Any]
     slot_delta: list[Any]
-    #: The real-pair mask (``None`` for uniform layouts).
-    real: Any
+    #: ``(stride, group base keys)`` for the last stride a kernel used.
+    base: tuple[int, Any] | None = None
+
+    def base_for(self, xp: ArrayNamespace, groups: int, stride: int, narrow: bool) -> Any:
+        """Each group's smallest key, ``group * stride``, as a ``(groups, 1)`` column."""
+        cached = self.base
+        if cached is None or cached[0] != stride:
+            dtype = np.int32 if narrow else np.int64
+            column = (np.arange(groups, dtype=dtype) * dtype(stride))[:, None]
+            cached = (stride, xp.asarray(column))
+            self.base = cached
+        return cached[1]
 
 
 @dataclass
@@ -125,19 +135,19 @@ class GroupLayout:
     """Space-stamp-derived structure of one tensor, shared by a sweep family.
 
     Pairs are the (instance, distinct reference) accesses of the tensor; a
-    *group* is a distinct ``(PE, element)`` pair.  Pairs are laid out
-    group-major in ``group_count`` blocks of ``block`` slots each: blocks of
-    groups with fewer pairs than the widest one (boundary-truncated tiles)
-    are padded, so every layout is a uniform ``(group_count, block)`` matrix.
-    Everything here depends only on the space stamps and the cached
-    relations, so candidates that share a space signature (the common case in
-    sweep families) reuse it and pay only time-stamp-dependent work.
+    *group* is a distinct ``(PE, element)`` pair, numbered densely in key
+    order.  ``group_of`` holds each pair's group id in pair order (reference
+    major, then instance), followed by one *pad* id per slot a group lacks
+    against the widest group: every group then owns exactly ``block`` entries,
+    so sorted group-major keys form a uniform ``(group_count, block)`` matrix.
+    Interconnect metadata is per group.  Everything here depends only on the
+    space stamps and the cached relations, so candidates that share a space
+    signature (the common case in sweep families) reuse it and pay only
+    time-stamp-dependent work.
     """
 
-    #: Instance index of each slot (int32; 0 for pads).
-    perm_mod: np.ndarray
-    #: Dense group id of each slot (int32).
-    dense: np.ndarray
+    #: Group id of each pair, then of each pad (int32, ``group_count * block``).
+    group_of: np.ndarray
     group_count: int
     #: Slots per group block (the widest group's pair count).
     block: int
@@ -145,11 +155,9 @@ class GroupLayout:
     pairs: int
     #: Number of *distinct* references (identical references are collapsed).
     references: int
-    #: The real-slot mask; ``None`` when no block needed padding.
-    real: np.ndarray | None
-    #: Per interconnect slot: does the slot's group have a valid source group?
+    #: Per interconnect slot: does the group have a valid source group?
     slot_valid: list[np.ndarray]
-    #: Per slot: dense source group minus dense group (int32).
+    #: Per slot: source group id minus group id (int32, 0 without a source).
     slot_delta: list[np.ndarray]
     #: Per slot: the delta shared by every valid group, or ``None`` when it
     #: varies (systolic links between uniformly-populated PEs share one).
@@ -161,9 +169,8 @@ class GroupLayout:
     _device: dict[str, _DeviceLayout] = field(default_factory=dict, repr=False)
 
     def nbytes(self) -> int:
-        arrays = [self.perm_mod, self.dense, self.real,
-                  *self.slot_valid, *self.slot_delta]
-        return sum(a.nbytes for a in arrays if a is not None)
+        arrays = [self.group_of, *self.slot_valid, *self.slot_delta]
+        return sum(a.nbytes for a in arrays)
 
     def device_arrays(self, xp: ArrayNamespace, on_transfer=None) -> _DeviceLayout:
         """The layout arrays on ``xp``'s device, uploaded once and kept."""
@@ -171,21 +178,13 @@ class GroupLayout:
         bundle = self._device.get(key)
         if bundle is None:
             if xp.is_numpy:
-                bundle = _DeviceLayout(
-                    perm=self.perm_mod,
-                    dense=self.dense,
-                    slot_valid=self.slot_valid,
-                    slot_delta=self.slot_delta,
-                    real=self.real,
-                )
+                bundle = _DeviceLayout(self.group_of, self.slot_valid, self.slot_delta)
             else:
                 started = time.perf_counter()
                 bundle = _DeviceLayout(
-                    perm=xp.asarray(self.perm_mod, "int64"),
-                    dense=xp.asarray(self.dense),
+                    group_of=xp.asarray(self.group_of),
                     slot_valid=[xp.asarray(valid) for valid in self.slot_valid],
                     slot_delta=[xp.asarray(delta) for delta in self.slot_delta],
-                    real=None if self.real is None else xp.asarray(self.real),
                 )
                 if on_transfer is not None:
                     on_transfer(time.perf_counter() - started)
@@ -219,36 +218,23 @@ def build_group_layout(
     total = pairs.size
     if total == 0:
         return None
-    perm = np.argsort(pairs, kind="stable")
-    ordered = pairs[perm]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    group_count = int(starts.size)
-    block = int(np.diff(starts, append=total).max())
+    ids, unique_groups = dense_ids(pairs)
+    group_count = int(unique_groups.size)
+    counts = np.bincount(ids, minlength=group_count)
+    block = int(counts.max())
     padded = group_count * block
-    # Slot positions are int32, so the padded size must fit.
+    # Group ids are int32, and so are the narrow keys; bound the padded size.
     if padded >= (1 << 31):
         return None
-    unique_groups = ordered[starts]
-    instance = perm % length
-    real = None
-    if padded == total:
-        perm_mod = instance.astype(np.int32)
-    else:
-        # Ragged blocks: pair k of group g goes to slot g * block + k.
-        group_of = np.cumsum(boundary) - 1
-        slot = group_of * block + (np.arange(total) - starts[group_of])
-        perm_mod = np.zeros(padded, dtype=np.int32)
-        perm_mod[slot] = instance
-        real = np.zeros(padded, dtype=bool)
-        real[slot] = True
-    dense = np.repeat(np.arange(group_count, dtype=np.int32), block)
+    group_of = np.empty(padded, dtype=np.int32)
+    group_of[:total] = ids
+    if padded > total:
+        # Ragged blocks: group g gets one pad per slot it lacks.
+        group_of[total:] = np.nonzero(counts[:, None] <= np.arange(block))[0]
 
     group_pe = unique_groups // footprint
     group_elem = unique_groups - group_pe * footprint
-    group_ids = np.arange(group_count, dtype=np.int32)
+    group_ids = np.arange(group_count)
     slot_valid: list[np.ndarray] = []
     slot_delta: list[np.ndarray] = []
     slot_delta_const: list[int | None] = []
@@ -263,8 +249,8 @@ def build_group_layout(
         position = np.clip(np.searchsorted(unique_groups, src_raw), 0, group_count - 1)
         present = valid & (unique_groups[position] == src_raw)
         group_delta = np.where(present, position - group_ids, 0).astype(np.int32)
-        slot_valid.append(np.repeat(present, block))
-        slot_delta.append(np.repeat(group_delta, block))
+        slot_valid.append(present)
+        slot_delta.append(group_delta)
         valid_deltas = group_delta[present]
         if valid_deltas.size and valid_deltas.min() == valid_deltas.max():
             slot_delta_const.append(int(valid_deltas[0]))
@@ -272,13 +258,11 @@ def build_group_layout(
             slot_delta_const.append(None)
         slot_any.append(bool(valid_deltas.size))
     return GroupLayout(
-        perm_mod=perm_mod,
-        dense=dense,
+        group_of=group_of,
         group_count=group_count,
         block=block,
         pairs=total,
         references=len(distinct),
-        real=real,
         slot_valid=slot_valid,
         slot_delta=slot_delta,
         slot_delta_const=slot_delta_const,
@@ -302,16 +286,19 @@ def fused_group_volume_metrics(
     rank_narrow: Any = None,
     on_transfer=None,
 ) -> VolumeMetrics | None:
-    """Exact Table II metrics via segmented sorts and shifted-slice windows.
+    """Exact Table II metrics via one global key sort and shifted-slice windows.
 
-    Keys are ``group * (rank_span + 1) + rank``; pad slots carry the sentinel
-    rank ``rank_span``, so they sort to the tail of their block, keys stay
-    globally sorted, and no probe or temporal predecessor of a real pair can
-    equal a pad.  Unless the candidate is injective and the tensor has one
-    distinct reference, repeated (group, rank) pairs are turned into pads and
-    the blocks sorted again, so every pair is counted once.  Returns ``None``
-    when the temporal interval is outside the adjacency window or keys would
-    overflow — the engine's reference kernel then takes over.
+    Keys are ``group * (rank_span + 1) + rank``: each pair's key is its group's
+    base plus its instance's rank, and pads carry the sentinel rank
+    ``rank_span``.  Every group owns ``block`` keys in its own key range, so
+    one global sort lays them out group-major as a ``(groups, block)`` matrix
+    whose rows are the groups' sorted ranks, and no probe or temporal
+    predecessor of a real pair can equal a pad.  Unless the candidate is
+    injective and the tensor has one distinct reference, repeated
+    (group, rank) pairs are turned into pads and the rows sorted again, so
+    every pair is counted once.  Returns ``None`` when the temporal interval
+    is outside the adjacency window or keys would overflow — the engine's
+    reference kernel then takes over.
 
     One codepath for every array namespace: on the host namespace the
     operations below bind directly to numpy, and the integer-only arithmetic
@@ -325,9 +312,10 @@ def fused_group_volume_metrics(
         return None
     if xp is None:
         xp = _HOST
-    n = int(layout.perm_mod.size)
+    n = int(layout.group_of.size)
     m = layout.block
     groups = layout.group_count
+    total = layout.pairs
     span = int(rank_span)
     if span <= 0:
         return None
@@ -346,27 +334,23 @@ def fused_group_volume_metrics(
             rank_narrow = xp.asarray(rank32)
             if on_transfer is not None:
                 on_transfer(time.perf_counter() - started)
+    base = dev.base_for(xp, groups, stride, narrow)
 
-    def block_sorted_keys(ranks):
-        # Segmented sort: each group's block sorted independently.  Sorting
-        # within a block never moves a pair across blocks, so the per-slot
-        # metadata stays aligned.
-        ranks = xp.sort2d(ranks.reshape(groups, m)).ravel()
-        if narrow:
-            keys = dev.dense * xp.int_scalar(stride, True)
-        else:
-            keys = xp.astype(dev.dense, "int64") * stride
-        keys += ranks
-        return ranks, keys
-
-    # Ranks per slot in group-major order.  The int32 rank copy is only exact
-    # while the span fits; huge-span ops take the int64 path end to end.
-    ranks = xp.take(rank_narrow if narrow else rank_wide, dev.perm)
-    live = dev.real
-    if live is not None:
-        ranks[~live] = span
-    ranks, keys = block_sorted_keys(ranks)
-    total = layout.pairs
+    # Group-major keys without a gather.  The int32 keys are only exact while
+    # the span fits; huge-span ops take the int64 path end to end.
+    if narrow:
+        keys = dev.group_of * xp.int_scalar(stride, True)
+    else:
+        keys = xp.astype(dev.group_of, "int64") * stride
+    real = keys[:total]
+    if layout.references > 1:
+        real = real.reshape(layout.references, -1)
+    real += rank_narrow if narrow else rank_wide
+    if n > total:
+        keys[total:] += xp.int_scalar(span, narrow)
+    keys = xp.sort2d(keys)
+    ranks = (keys.reshape(groups, m) - base).ravel()
+    live = ranks < span if n > total else None
     if not (assume_unique and layout.references == 1):
         # Non-injective candidates and several references can repeat a
         # (group, rank) pair; each repeat becomes a pad so it counts once.
@@ -377,9 +361,14 @@ def fused_group_volume_metrics(
         repeats = xp.count_nonzero(repeat)
         if repeats:
             ranks[repeat] = span
-            ranks, keys = block_sorted_keys(ranks)
+            rows = xp.sort2d(ranks.reshape(groups, m))
+            ranks, keys = rows.ravel(), (rows + base).ravel()
             live = ranks < span
             total -= repeats
+
+    def per_slot(mask, valid):
+        # A per-group interconnect mask applied to every slot of the group.
+        return (mask.reshape(groups, m) & valid[:, None]).ravel()
 
     # Temporal reuse: (g, r - ti) can only sit within ti positions back in the
     # block; a value match implies the same group because 0 <= r - ti < span.
@@ -428,11 +417,11 @@ def fused_group_volume_metrics(
                     if rank_ok is not None:
                         hits &= rank_ok
                     window_masks[delta_const] = hits
-                spatial |= hits & slot_valid
+                spatial |= per_slot(hits, slot_valid)
             else:
                 # Per-pair source offsets: probe only the pairs that still
                 # need an answer (valid, rank-guarded, no temporal reuse).
-                needed = slot_valid & ~temporal & ~spatial
+                needed = per_slot(~temporal & ~spatial, slot_valid)
                 if rank_ok is not None:
                     needed &= rank_ok
                 index = xp.flatnonzero(needed)
@@ -442,7 +431,7 @@ def fused_group_volume_metrics(
                     shift = delta_const * stride - si
                     probes = keys[index] + xp.int_scalar(shift, narrow)
                 else:
-                    delta = dev.slot_delta[slot_index][index]
+                    delta = dev.slot_delta[slot_index][index // m]
                     if narrow:
                         probes = keys[index] + (
                             delta * xp.int_scalar(stride, True)
@@ -629,8 +618,6 @@ class _BatchStamps(BatchStampProvider):
         return pe_lin
 
     def stamps_for(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        from repro.core.engine import _rank_keys
-
         dataflow = self.dataflows[position]
         self._ensure_window(position)
         pe_lin = self._pe_lin(position)
@@ -649,7 +636,7 @@ class _BatchStamps(BatchStampProvider):
                     time_key -= lo
         if time_key is None:
             time_key = np.zeros(self.relations.total, dtype=np.int64)
-        return pe_lin, _rank_keys(time_key)
+        return pe_lin, dense_ids(time_key)[0]
 
 
 _MISSING = object()
@@ -766,6 +753,7 @@ class FusedBackend(EngineBackend):
             self.engine._predecessor_table,
             self.engine._spacetime.spatial_interval,
         )
+        self.engine.stats["layout_builds"] += 1
         memo[key] = layout
         _evict_lru(
             memo, self._LAYOUT_ENTRIES, self._LAYOUT_BYTES,

@@ -49,7 +49,7 @@ from repro.core.utilization import UtilizationMetrics, compute_utilization
 from repro.core.volumes import VolumeMetrics, compute_volume_metrics
 from repro.core.xp import resolve_namespace
 from repro.errors import DataflowError, ExplorationError, ModelError, SpaceError
-from repro.isl.enumeration import chunk_length, sorted_unique
+from repro.isl.enumeration import chunk_length, dense_ids, sorted_unique
 from repro.tensor.operation import TensorOp
 
 # -- signatures -------------------------------------------------------------------
@@ -375,7 +375,7 @@ class RelationMaterializer:
         for (lo, hi), expr in zip(time_bounds, dataflow.time_exprs):
             extent = hi - lo + 1
             time_key = time_key * extent + (expr.evaluate_vec(chunk) - lo)
-        return pe_lin, _rank_keys(time_key)
+        return pe_lin, dense_ids(time_key)[0]
 
     # -- analyzer-compatible materialisation ---------------------------------------
 
@@ -478,26 +478,6 @@ class RelationMaterializer:
 
 
 # -- fast exact helpers ---------------------------------------------------------------
-
-
-def _rank_keys(keys: np.ndarray) -> np.ndarray:
-    """Dense lexicographic rank of every key (``searchsorted(unique, keys)``).
-
-    When the key range is comparable to the array length a presence bitmap and
-    a cumulative sum replace the sort, which is the common case for time-stamp
-    keys built from tight per-dimension bounds.
-    """
-    if keys.size == 0:
-        return keys
-    max_key = int(keys.max())
-    if max_key <= max(4 * keys.size, 1 << 22):
-        presence = np.zeros(max_key + 1, dtype=bool)
-        presence[keys] = True
-        lut = np.cumsum(presence)
-        lut -= 1
-        return lut[keys]
-    unique_keys = sorted_unique(keys)
-    return np.searchsorted(unique_keys, keys)
 
 
 def _utilization_dense(
@@ -878,6 +858,9 @@ class EvaluationEngine:
             "streaming_path": 0,
             # Per-tensor volumes counted by the fused backend's kernel.
             "fused_path": 0,
+            # Group layouts the fused backend built (one per space signature
+            # and tensor; later candidates of the family reuse them).
+            "layout_builds": 0,
             # Candidates replayed from the fused backend's spacetime-content
             # memo (identical (PE, rank) columns under different expressions).
             "spacetime_hits": 0,

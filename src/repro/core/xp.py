@@ -1,8 +1,8 @@
 """Array-namespace layer: one device-portable codepath for the fused backend.
 
 The fused backend's hot loops are a handful of array primitives — a stacked
-float64 matmul, segmented sorts, ``searchsorted`` membership probes, gathers
-and boolean comparisons.  This module resolves a *device spec* (``numpy``,
+float64 matmul, last-axis sorts (of the key vector and of per-group rank
+rows), ``searchsorted`` membership probes, gathers and boolean comparisons.  This module resolves a *device spec* (``numpy``,
 ``torch``, ``torch:cpu``, ``torch:cuda``, ``cupy``) to an
 :class:`ArrayNamespace` exposing exactly those primitives, so the evaluation
 kernels are written once and run unchanged on every registered namespace.
@@ -71,9 +71,6 @@ class ArrayNamespace:
     def searchsorted(self, sorted_a: Any, values: Any) -> Any:
         raise NotImplementedError
 
-    def take(self, a: Any, indices: Any) -> Any:
-        raise NotImplementedError
-
     def take_clip(self, a: Any, indices: Any) -> Any:
         """``a[clip(indices, 0, len(a) - 1)]`` (numpy ``take(mode="clip")``)."""
         raise NotImplementedError
@@ -125,9 +122,6 @@ class NumpyNamespace(ArrayNamespace):
 
     def searchsorted(self, sorted_a, values):
         return np.searchsorted(sorted_a, values)
-
-    def take(self, a, indices):
-        return np.take(a, indices)
 
     def take_clip(self, a, indices):
         return np.take(a, indices, mode="clip")
@@ -187,9 +181,6 @@ class TorchNamespace(ArrayNamespace):
     def searchsorted(self, sorted_a, values):
         return self._torch.searchsorted(sorted_a, values)
 
-    def take(self, a, indices):
-        return a[indices]
-
     def take_clip(self, a, indices):
         return a[indices.clamp(0, a.numel() - 1)]
 
@@ -243,9 +234,6 @@ class CupyNamespace(ArrayNamespace):
 
     def searchsorted(self, sorted_a, values):
         return self._cupy.searchsorted(sorted_a, values)
-
-    def take(self, a, indices):
-        return self._cupy.take(a, indices)
 
     def take_clip(self, a, indices):
         return self._cupy.take(a, indices, mode="clip")

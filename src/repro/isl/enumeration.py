@@ -145,6 +145,28 @@ def sorted_unique(array: np.ndarray, return_counts: bool = False):
     return unique_values, counts
 
 
+def dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense id of every non-negative key, and the sorted distinct keys.
+
+    ``ids`` is ``searchsorted(uniques, keys)``.  When the key range is
+    comparable to the array length a presence bitmap and a lookup table
+    replace the sort; wider ranges fall back to ``np.unique``.
+    """
+    if keys.size == 0:
+        return keys, keys
+    max_key = int(keys.max())
+    if max_key > max(4 * keys.size, 1 << 22):
+        uniques, ids = np.unique(keys, return_inverse=True)
+        return ids, uniques
+    presence = np.zeros(max_key + 1, dtype=bool)
+    presence[keys] = True
+    uniques = np.flatnonzero(presence)
+    # Only present keys are ever looked up, so the table needs no fill.
+    lut = np.empty(max_key + 1, dtype=np.intp)
+    lut[uniques] = np.arange(uniques.size)
+    return lut[keys], uniques
+
+
 def encode_rows(array: np.ndarray, bounds_per_col: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
     """Encode integer rows into single int64 keys (for hashing / set membership).
 

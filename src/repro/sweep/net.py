@@ -516,7 +516,9 @@ class SweepService:
         try:
             request = SweepRequest.from_dict(data)
         except Exception as error:  # noqa: BLE001 - protocol line
-            future.set_result(error_record(data.get("kernel"), error, request_id=request_id))
+            future.set_result(
+                error_record(data.get("kernel"), error, code="bad-request", request_id=request_id)
+            )
             self.requests_rejected += 1
             return
         if self._draining:

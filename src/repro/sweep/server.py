@@ -43,6 +43,7 @@ from repro.sweep import faults as fault_hooks
 from repro.sweep.faults import FaultInjector
 from repro.sweep.session import SweepResult, SweepSession
 from repro.sweep.source import CandidateSource, validate_shard
+from repro.tensor.kernels import checked_kernel, make_kernel
 from repro.tensor.operation import TensorOp
 
 
@@ -98,6 +99,9 @@ class SweepRequest:
         request = cls(**data)
         request.sizes = tuple(int(s) for s in request.sizes)
         request.pe = tuple(int(p) for p in request.pe)
+        # The command line's kernel/sizes/pe check: a bad request is rejected
+        # here, before any engine is built (or quarantined) for it.
+        checked_kernel(request.kernel, request.sizes, request.pe)
         if request.shard is not None:
             request.shard = validate_shard(tuple(request.shard))
         return request
@@ -105,7 +109,6 @@ class SweepRequest:
     def build(self) -> tuple[TensorOp, ArchSpec, CandidateSource]:
         from repro.dse.pruning import pruned_candidates
         from repro.experiments.common import make_arch
-        from repro.tensor.kernels import make_kernel
 
         op = make_kernel(self.kernel, list(self.sizes))
         arch = make_arch(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import inspect
 from typing import Mapping, Sequence
 
+from repro.errors import ExplorationError
+from repro.isl.count import count_points
 from repro.isl.expr import AffExpr, var
 from repro.isl.imap import IntMap
 from repro.isl.iset import IntSet
@@ -198,3 +200,51 @@ def make_kernel(kind: str, sizes: Mapping[str, int] | Sequence[int], **kwargs) -
     if isinstance(sizes, Mapping):
         return factory(**sizes, **kwargs)
     return factory(*sizes, **kwargs)
+
+
+class KernelSpecError(ExplorationError):
+    """A kernel request no factory can turn into a sweepable operation."""
+
+
+def checked_kernel(
+    kind: str,
+    sizes: Sequence[int],
+    pe: Sequence[int] | None = None,
+    *,
+    prefix: str = "",
+) -> TensorOp:
+    """Build ``kind`` at ``sizes`` after checking the request, or raise
+    :class:`KernelSpecError`.
+
+    Rejects what the factories would turn into a traceback or a sweep of
+    invalid candidates: a PE array that is not two positive extents, an
+    unknown kernel, the wrong number of loop extents, a non-positive extent
+    and an empty iteration domain.  ``prefix`` is prepended to the field
+    names in messages (``"--"`` on the command line).
+    """
+    if pe is not None:
+        shape = " ".join(map(str, pe))
+        if len(pe) != 2:
+            raise KernelSpecError(
+                f"{prefix}pe takes exactly two extents (rows cols), got {shape}"
+            )
+        if min(pe) < 1:
+            raise KernelSpecError(f"{prefix}pe extents must be positive, got {shape}")
+    name = str(kind).lower()
+    extents = KERNEL_EXTENTS.get(name)
+    if extents is None:
+        raise KernelSpecError(
+            f"unknown {prefix}kernel {kind!r}; available: {', '.join(sorted(KERNEL_EXTENTS))}"
+        )
+    if len(sizes) != len(extents):
+        raise KernelSpecError(
+            f"{prefix}kernel {name} takes {len(extents)} {prefix}sizes "
+            f"({' '.join(extents)}), got {len(sizes)}"
+        )
+    text = " ".join(map(str, sizes))
+    if min(sizes) < 1:
+        raise KernelSpecError(f"{prefix}sizes must be positive loop extents, got {text}")
+    op = make_kernel(name, sizes)
+    if count_points(op.domain) == 0:
+        raise KernelSpecError(f"{prefix}kernel {name} has no iterations at {prefix}sizes {text}")
+    return op

@@ -354,7 +354,7 @@ class TestLayout:
         )
         assert layout.references == relations.tensors[tensor].references
 
-    def test_ragged_blocks_are_padded(self):
+    def _ragged_setup(self):
         # 10 = 4 + 4 + 2: the boundary PE tiles hold fewer pairs per
         # (PE, element) group, so their blocks are padded to the widest one.
         op = gemm(10, 10, 10)
@@ -365,14 +365,106 @@ class TestLayout:
         candidate = Dataflow.from_exprs(
             "ragged", op.domain.space, [i % 4, j % 4], [k, i // 4, j // 4]
         ).bind(op)
-        pe_lin, _ = engine.materializer.stamps(relations, candidate, arch.pe_array)
+        return engine, relations, candidate
+
+    def test_ragged_blocks_are_padded(self):
+        engine, relations, candidate = self._ragged_setup()
+        pe_lin, _ = engine.materializer.stamps(relations, candidate, engine.arch.pe_array)
         layout = build_group_layout(
             pe_lin, relations.tensors["A"], engine._predecessor_table,
             engine._spacetime.spatial_interval,
         )
         assert layout.pairs == pe_lin.size
-        assert layout.perm_mod.size == layout.group_count * layout.block > layout.pairs
-        assert int(layout.real.sum()) == layout.pairs
+        pads = layout.group_of.size - layout.pairs
+        assert pads == layout.group_count * layout.block - layout.pairs > 0
+        # Every group holds exactly ``block`` slots: its pairs plus its pads.
+        slots = np.bincount(layout.group_of, minlength=layout.group_count)
+        assert (slots == layout.block).all()
+        for per_group in (*layout.slot_valid, *layout.slot_delta):
+            assert per_group.shape == (layout.group_count,)
+
+    def test_bitmap_and_unique_branches_build_identical_layouts(self):
+        # Element keys only span 0..40; a footprint of 2**24 encodes the very
+        # same (PE, element) groups in the same order, but with keys too wide
+        # for the presence bitmap, so the np.unique fallback numbers them.
+        from repro.core.engine import TensorRelations
+
+        rng = np.random.default_rng(5)
+        length = 3000
+        pe_lin = rng.integers(0, 16, size=length)
+        references = [rng.integers(0, 40, size=length) for _ in range(2)]
+        pe = np.arange(16)
+        predecessor_table = np.stack(
+            [np.where(pe % 4 > 0, pe - 1, -1), np.where(pe >= 4, pe - 4, -1)], axis=1
+        )
+        layouts = []
+        for footprint in (40, 1 << 24):
+            relations = TensorRelations(
+                raw_keys=references,
+                dense_keys=np.concatenate(references),
+                extent=footprint,
+                footprint=footprint,
+            )
+            layouts.append(build_group_layout(pe_lin, relations, predecessor_table, 1))
+        wide_keys = 15 * (1 << 24)
+        assert wide_keys > max(4 * 2 * length, 1 << 22)  # forces the fallback
+        bitmap, unique = layouts
+        np.testing.assert_array_equal(bitmap.group_of, unique.group_of)
+        assert (bitmap.group_count, bitmap.block, bitmap.pairs, bitmap.references) == (
+            unique.group_count, unique.block, unique.pairs, unique.references,
+        )
+        assert bitmap.group_of.size > bitmap.pairs  # ragged: pads were appended
+        for a, b in zip(bitmap.slot_valid + bitmap.slot_delta,
+                        unique.slot_valid + unique.slot_delta):
+            np.testing.assert_array_equal(a, b)
+        assert bitmap.slot_delta_const == unique.slot_delta_const
+        assert bitmap.slot_any == unique.slot_any == [True, True]
+
+    @pytest.mark.parametrize("case", ["ragged", "multi-reference", "non-injective"])
+    def test_int64_keys_count_like_int32_keys(self, case):
+        from repro.core.backends.fused import fused_group_volume_metrics
+
+        if case == "ragged":
+            engine, relations, candidate = self._ragged_setup()
+        else:
+            op = jacobi2d(10, 10) if case == "multi-reference" else gemm(8, 8, 8)
+            engine = EvaluationEngine(op, make_arch(pe_dims=(4, 4)), cache=RelationCache())
+            relations = engine.materializer.relations(10**6)
+            candidate = (
+                small_candidates(op, count=1)[0] if case == "multi-reference"
+                else collapsing_dataflow(op)
+            ).bind(op)
+        pe_lin, t_rank = engine.materializer.stamps(
+            relations, candidate, engine.arch.pe_array
+        )
+        span = int(t_rank.max()) + 1
+        injective = case != "non-injective"
+        if not injective:
+            assert np.unique(pe_lin * span + t_rank).size < pe_lin.size
+        for tensor, tensor_relations in relations.tensors.items():
+            layout = build_group_layout(
+                pe_lin, tensor_relations, engine._predecessor_table,
+                engine._spacetime.spatial_interval,
+            )
+            counts = []
+            for rank_span in (span, 1 << 29):
+                # 1 << 29 pushes 2 * (groups + 1) * stride past int32.
+                assert (2 * (layout.group_count + 1) * (rank_span + 1) < (1 << 31)) == (
+                    rank_span == span
+                )
+                counts.append(fused_group_volume_metrics(
+                    tensor, layout, t_rank,
+                    spatial_interval=engine._spacetime.spatial_interval,
+                    temporal_interval=engine.temporal_interval,
+                    footprint=tensor_relations.footprint,
+                    rank_span=rank_span,
+                    rank32=t_rank.astype(np.int32),
+                    assume_unique=injective,
+                ))
+            assert counts[0] is not None
+            assert counts[0] == counts[1], tensor
+        if case == "multi-reference":
+            assert max(rel.references for rel in relations.tensors.values()) > 1
 
     def test_layout_memo_is_shared_across_candidates(self):
         op = gemm(16, 16, 16)
@@ -385,6 +477,7 @@ class TestLayout:
         }
         # One layout per (space signature, tensor), not per candidate.
         assert len(engine.backend._layout_memo) <= len(distinct_pe_signatures) * 3
+        assert engine.stats["layout_builds"] == len(engine.backend._layout_memo)
 
 
 class TestFusedBackend:

@@ -19,7 +19,6 @@ from repro.core.engine import (
     RelationCache,
     RelationMaterializer,
     _grouped_volume_metrics,
-    _rank_keys,
     _utilization_dense,
     dataflow_signature,
     op_signature,
@@ -29,7 +28,7 @@ from repro.core.utilization import compute_utilization
 from repro.errors import DataflowError, ExplorationError, ModelError
 from repro.experiments.common import make_arch
 from repro.dse.pruning import pruned_candidates
-from repro.isl.enumeration import sorted_unique
+from repro.isl.enumeration import dense_ids, sorted_unique
 from repro.isl.expr import var
 from repro.tensor.kernels import conv2d, gemm
 
@@ -138,17 +137,20 @@ class TestMaterializer:
 
 class TestFastHelpers:
     def test_rank_keys_matches_searchsorted(self):
+        # Spans 50 and 10**7 take the bitmap and the np.unique branch.
         rng = np.random.default_rng(7)
         for span in (50, 10**7):
             keys = rng.integers(0, span, size=2000)
-            expected = np.searchsorted(sorted_unique(keys), keys)
-            np.testing.assert_array_equal(_rank_keys(keys), expected)
+            uniques = sorted_unique(keys)
+            ids, dense_uniques = dense_ids(keys)
+            np.testing.assert_array_equal(ids, np.searchsorted(uniques, keys))
+            np.testing.assert_array_equal(dense_uniques, uniques)
 
     def test_utilization_dense_matches_reference(self):
         rng = np.random.default_rng(11)
         pe = rng.integers(0, 16, size=3000)
         time_key = rng.integers(0, 40, size=3000)
-        t_rank = _rank_keys(time_key)
+        t_rank = dense_ids(time_key)[0]
         dense = _utilization_dense(pe, t_rank, 16)
         reference = compute_utilization(pe, t_rank, 16)
         assert dense == reference

@@ -343,6 +343,30 @@ class TestProtocolRobustness:
             assert reply["code"] == "bad-request"
             assert reply["id"] == 7
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kernel": "gemmm"}, "unknown kernel 'gemmm'"),
+        ({"sizes": [8, 8]}, "kernel gemm takes 3 sizes (i j k), got 2"),
+        ({"sizes": [0, 8, 8]}, "sizes must be positive loop extents, got 0 8 8"),
+        ({"kernel": "jacobi2d", "sizes": [2, 8]},
+         "kernel jacobi2d has no iterations at sizes 2 8"),
+        ({"pe": [8]}, "pe takes exactly two extents (rows cols), got 8"),
+        ({"pe": [0, 8]}, "pe extents must be positive, got 0 8"),
+        ({"sizes": "888"}, "must be a list of integers"),
+    ], ids=["unknown-kernel", "sizes-arity", "zero-extent", "empty-domain",
+            "pe-1d", "pe-zero", "schema"])
+    def test_bad_request_is_rejected_before_any_engine(self, harness, fields, message):
+        service = harness(max_workers=2)
+        with service.client() as client:
+            reply = client.request({**json.loads(request_line(**fields)), "id": 3})
+            assert reply["code"] == "bad-request"
+            assert reply["id"] == 3
+            assert message in reply["error"]
+            stats = client.stats()
+        assert stats["engines"] == 0
+        assert stats["requests"]["rejected"] == 1
+        assert stats["faults"]["engine_build_failures"] == 0
+        assert stats["faults"]["quarantined_engines"] == 0
+
     def test_blank_and_comment_lines_ignored(self, harness):
         service = harness(max_workers=2)
         with socket.create_connection((service.host, service.port), timeout=30) as sock:

@@ -37,9 +37,11 @@ class TestMergeBenchRecords:
         assert by_name["sweep_pipeline"]["candidates_per_sec"] == 42.0
         assert merged["created"] != existing["created"]
 
-    def test_default_bench_json_is_repo_root(self):
+    def test_default_bench_json_is_untracked_build_dir(self):
+        # A default run must not rewrite the committed baseline.
         conftest = load_module("conftest.py", "repro_root_conftest2")
-        assert conftest.DEFAULT_BENCH_JSON == REPO_ROOT / "BENCH_engine.json"
+        assert conftest.DEFAULT_BENCH_JSON == REPO_ROOT / ".bench_build" / "BENCH_engine.json"
+        assert ".bench_build/" in (REPO_ROOT / ".gitignore").read_text().splitlines()
 
 
 class TestRegressionChecker:

@@ -108,6 +108,10 @@ class TestParser:
         assert payload["sweep"]["evaluated"] == 8
         assert payload["relation_cache"]["worker_misses"] == 0
         assert payload["relation_cache"]["worker_hits"] >= 8
+        # Worker counters are aggregated: layouts are built once per space
+        # signature and tensor, and reused by the family's other candidates.
+        stats = payload["stats"]
+        assert 1 <= stats["layout_builds"] < stats["fused_path"]
 
     @pytest.mark.parametrize("argv, message", [
         (["explore", "--kernel", "nope", "--sizes", "4", "4", "4"],
@@ -127,6 +131,11 @@ class TestParser:
         (["fleet", "--kernel", "gemm", "--sizes", "4", "4", "4", "--pe", "8", "8", "8",
           "--checkpoint-dir", "unused"],
          "--pe takes exactly two extents (rows cols), got 8 8 8"),
+        (["explore", "--kernel", "gemm", "--sizes", "4", "4", "4", "--pe", "0", "8"],
+         "--pe extents must be positive, got 0 8"),
+        (["fleet", "--kernel", "gemmm", "--sizes", "4", "4", "4",
+          "--checkpoint-dir", "unused"],
+         "unknown --kernel 'gemmm'"),
         (["analyze", "--kernel", "nope", "--sizes", "4", "4", "4",
           "--dataflow", "(IJ-P | J,IJK-T)"], "unknown --kernel 'nope'"),
         (["analyze", "--kernel", "conv2d", "--sizes", "4", "4", "4",
@@ -139,6 +148,7 @@ class TestParser:
           "--dataflow", "nope"], "no dataflow 'nope' for kernel 'gemm'"),
     ], ids=["explore-kernel", "explore-arity", "explore-zero", "explore-negative",
             "explore-empty-domain", "explore-jobs", "explore-pe", "fleet-pe",
+            "explore-pe-zero", "fleet-kernel",
             "analyze-kernel", "analyze-arity", "analyze-zero", "analyze-empty-domain",
             "analyze-dataflow"])
     def test_bad_input_is_one_line_error(self, argv, message, capsys):
